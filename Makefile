@@ -70,7 +70,7 @@ bench-check:
 	$(PYTHON) -m repro.cli bench --tag check --repeats 3 \
 		--compare BENCH_local.json --max-slowdown 400
 
-# the autotuner: race kernel/ordering/block-size/executor/backend
+# the autotuner: race kernel/ordering/block-size/executor
 # candidates with successive halving and persist the winner to
 # PROFILE_<host>.json; `svd(..., profile=...)` or REPRO_PROFILE then
 # fill any options the caller left unset

@@ -62,9 +62,9 @@ def build_report(
     can attribute executor speedups to the step executor and not to a
     floating BLAS thread count.
     """
-    import os
-
     import numpy
+
+    from ..parallel.executor import usable_cpu_count
 
     by_name = {r["name"]: r for r in records}
     for r in records:
@@ -81,7 +81,7 @@ def build_report(
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpu_count(),
         "blas_threads": blas_threads,
         "scenarios": records,
     }

@@ -17,11 +17,9 @@ protected:
                      machine time (scalar and block granularity);
 ``svd-parallel-exec`` one block Jacobi run under a chosen step-execution
                      backend (:mod:`repro.parallel.executor`) — the
-                     threads-vs-serial and processes-vs-serial pairs are
-                     the multicore headlines (bit-identical results,
-                     wall time scaled by the GIL-releasing GEMM phases
-                     or by fully independent worker processes on
-                     shared-memory column views);
+                     threads-vs-serial pair is the multicore headline
+                     (bit-identical results, wall time scaled by the
+                     GIL-releasing GEMM phases);
 ``routing``          message-routing throughput over every communication
                      phase of one compiled sweep: the ``loop`` scenario
                      runs the per-message reference router
@@ -182,8 +180,8 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     (vectorised vs event-driven n=512 gram sweep, speedup in meta), the
     autotuner smoke search, the parallel simulator at scalar and block
     granularity, the fault-recovery overhead run, and the lint and
-    analyze gates (32 scenarios).  ``quick`` mode shrinks every size
-    for CI smoke runs (21 scenarios) while keeping the same name
+    analyze gates (31 scenarios).  ``quick`` mode shrinks every size
+    for CI smoke runs (20 scenarios) while keeping the same name
     structure.
     """
     sizes = (16,) if quick else (32, 64)
@@ -215,14 +213,13 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
                     "kernel": "gram", "ordering": "ring_new"},
         )
     )
-    # the executor pairs: the same gram-kernel block run under the
-    # serial, threaded and process step backends (results are
-    # bit-identical; only the wall time may differ, by however many
-    # cores the host offers — on a single-core host the parallel twins
-    # record parity plus dispatch overhead, and the gate only enforces
-    # no-regression)
+    # the executor pair: the same gram-kernel block run under the
+    # serial and threaded step backends (results are bit-identical; only
+    # the wall time may differ, by however many cores the host offers —
+    # on a single-core host the threaded twin records parity plus
+    # dispatch overhead, and the gate only enforces no-regression)
     en, eb = (32, 4) if quick else (128, 8)
-    for executor in ("serial", "threads", "processes"):
+    for executor in ("serial", "threads"):
         out.append(_exec_scenario(executor, en, eb,
                                   workers=2 if quick else 4))
     # the sanitizer-overhead pair(s): the same gram block run with the

@@ -49,7 +49,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..eig.jacobi import gram_eigh_batched, gram_eigh_grouped
-from ..kernels import ComputeBackend, numpy_backend, resolve_compute_backend
 from ..svd.rotations import (
     RotationStats,
     apply_step_rotations,
@@ -115,7 +114,6 @@ def solve_block_pair(
     sort: str | None,
     inner_sweeps: int,
     kernel: str = "gram",
-    compute_backend: "str | ComputeBackend | None" = None,
 ) -> tuple[RotationStats, float]:
     """Orthogonalise the ``2b`` columns ``cols`` of ``X`` against each other.
 
@@ -127,8 +125,7 @@ def solve_block_pair(
     that makes sorted output emerge at block granularity.
     """
     return solve_block_step(X, V, [np.asarray(cols, dtype=np.intp)],
-                            tol, sort, inner_sweeps, kernel,
-                            compute_backend=compute_backend)
+                            tol, sort, inner_sweeps, kernel)
 
 
 def solve_block_step(
@@ -141,7 +138,6 @@ def solve_block_step(
     kernel: str = "gram",
     executor=None,
     sanitizer=None,
-    compute_backend: "str | ComputeBackend | None" = None,
 ) -> tuple[RotationStats, float]:
     """Solve every met block pair of one schedule step.
 
@@ -153,22 +149,14 @@ def solve_block_step(
     relative off-diagonal across all pairs.
 
     ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
-    spreads the step's independent work over worker threads or
-    processes: the gram kernel chunks only its gather/Gram-form and
-    apply/scatter GEMM phases — the inner Gram Jacobi stays one
-    full-stack solve, because its convergence floor couples matrices
-    across the batch and splitting it would change the rotation
-    sequence — while the per-pair kernels chunk the pair loop itself.
-    The chunked phases are module-level *tasks* dispatched through
-    :meth:`~repro.parallel.executor.StepExecutor.run_shared`, so the
-    process backend ships bounds and shared-memory specs instead of
-    matrices.  Either way the result is bit-identical to the serial
-    path for any worker count (see :mod:`repro.parallel.executor` for
-    the contract).
-
-    ``compute_backend`` selects the batched-GEMM primitives
-    (:mod:`repro.kernels`); ``None`` resolves from
-    ``$REPRO_COMPUTE_BACKEND`` (default numpy).
+    spreads the step's independent work over worker threads: the gram
+    kernel chunks only its gather/Gram-form and apply/scatter GEMM
+    phases — the inner Gram Jacobi stays one full-stack solve, because
+    its convergence floor couples matrices across the batch and
+    splitting it would change the rotation sequence — while the
+    per-pair kernels chunk the pair loop itself.  Either way the result
+    is bit-identical to the serial path for any worker count (see
+    :mod:`repro.parallel.executor` for the contract).
 
     On :class:`~repro.util.errors.NumericalBreakdown` the step degrades
     gracefully: the pairs are re-solved one by one, each walking down
@@ -188,17 +176,16 @@ def solve_block_step(
     require(kernel in BLOCK_KERNELS,
             f"unknown block kernel {kernel!r}; "
             f"available: {', '.join(BLOCK_KERNELS)}")
-    backend = resolve_compute_backend(compute_backend)
     if sanitizer is None:
         return _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                                kernel, executor, None, backend)
+                                kernel, executor, None)
     expected = [frozenset(int(c) for c in pair_cols[i])
                 for i in range(len(pair_cols))]
     workers = 1 if executor is None else executor.workers
     sanitizer.begin_step(len(pair_cols), expected, workers=workers)
     try:
         out = _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                               kernel, executor, sanitizer, backend)
+                               kernel, executor, sanitizer)
     except BaseException:
         # the step never completed; its write-set record is meaningless
         sanitizer.abort_step()
@@ -209,30 +196,12 @@ def solve_block_step(
 
 def _phase_bounds(executor, n_items: int,
                   chunked: bool) -> list[tuple[int, int]]:
-    """The chunk bounds a dispatched phase ran with (for parent-side
-    sanitizer records: under the process backend ``record_touch`` cannot
-    run inside the workers, so the parent replays the deterministic
-    bounds after the dispatch settles)."""
+    """The chunk bounds a dispatched phase ran with (the calling thread
+    replays the deterministic bounds into the sanitizer after the
+    dispatch settles, so workers never touch the sanitizer)."""
     if not chunked:
         return [(0, n_items)] if n_items else []
     return executor.chunk_bounds(n_items, executor.workers)
-
-
-def _task_solve_pairs(
-    arrays: dict, lo: int, hi: int, *, cols, tol, sort, inner_sweeps,
-    chain, backend,
-) -> tuple[RotationStats, float]:
-    """Chunk task of the per-pair kernels: solve pairs ``[lo, hi)``."""
-    X = arrays["X"]
-    V = arrays.get("V")
-    stats = RotationStats()
-    worst = 0.0
-    for i in range(lo, hi):
-        st, mx = _solve_pair_chain(X, V, cols[i], tol, sort,
-                                   inner_sweeps, chain, backend)
-        stats.merge(st)
-        worst = max(worst, mx)
-    return stats, worst
 
 
 def _solve_step_body(
@@ -245,32 +214,35 @@ def _solve_step_body(
     kernel: str,
     executor,
     sanitizer,
-    backend: ComputeBackend | None = None,
 ) -> tuple[RotationStats, float]:
     """The dispatch body of :func:`solve_block_step` (validated input)."""
-    backend = backend if backend is not None else numpy_backend()
     if kernel == "gram":
         try:
             return _solve_gram_many(X, V, pair_cols, tol, sort, inner_sweeps,
-                                    executor, sanitizer, backend)
+                                    executor, sanitizer)
         except NumericalBreakdown:
             pass  # isolate the poisoned pairs via the per-pair chain
     chain = FALLBACK_CHAINS[kernel]
     n_pairs = len(pair_cols)
-    arrays = {"X": X}
-    if V is not None:
-        arrays["V"] = V
-    payload = dict(cols=pair_cols, tol=tol, sort=sort,
-                   inner_sweeps=inner_sweeps, chain=chain, backend=backend)
+
+    def solve_pairs(lo: int, hi: int) -> tuple[RotationStats, float]:
+        stats = RotationStats()
+        worst = 0.0
+        for i in range(lo, hi):
+            st, mx = _solve_pair_chain(X, V, pair_cols[i], tol, sort,
+                                       inner_sweeps, chain)
+            stats.merge(st)
+            worst = max(worst, mx)
+        return stats, worst
+
     chunked = executor is not None and executor.workers > 1
     if not chunked:
-        out = [_task_solve_pairs(arrays, 0, n_pairs, **payload)]
+        out = [solve_pairs(0, n_pairs)]
     else:
         # pairs touch disjoint columns, so the chunks are fully
         # independent; results merge in chunk order for a deterministic
         # reduction
-        out = executor.run_shared(n_pairs, _task_solve_pairs, arrays,
-                                  **payload)
+        out = executor.run_chunks(n_pairs, solve_pairs)
     if sanitizer is not None:
         # the per-pair solvers rewrite every column of their pairs
         for lo, hi in _phase_bounds(executor, n_pairs, chunked):
@@ -293,7 +265,6 @@ def _solve_pair_chain(
     sort: str | None,
     inner_sweeps: int,
     chain: tuple[str, ...],
-    backend: ComputeBackend | None = None,
 ) -> tuple[RotationStats, float]:
     """Solve one block pair, falling down ``chain`` on breakdown."""
     last: NumericalBreakdown | None = None
@@ -302,7 +273,7 @@ def _solve_pair_chain(
         try:
             if kern == "gram":
                 st, mx = _solve_gram_many(X, V, [cols], tol, sort,
-                                          inner_sweeps, backend=backend)
+                                          inner_sweeps)
             elif kern == "batched":
                 st, mx = _solve_batched(X, V, cols, tol, sort, inner_sweeps)
             else:
@@ -503,41 +474,16 @@ def _apply_sort_only(
             sanitizer.record_touch(0, len(pair_cols), tgt)
 
 
-def _scratch(executor, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Step scratch: executor-managed (shared memory under the process
-    backend) or plain ``np.empty`` without one."""
-    if executor is None:
-        return np.empty(shape)
-    return executor.scratch(key, shape)
+def _gram(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(B, k, m) -> (B, k, k)``: ``y @ y^T`` per stack entry."""
+    return np.matmul(y, y.transpose(0, 2, 1), out=out)
 
 
-def _task_gram_form(arrays: dict, lo: int, hi: int, *, cols, k, m,
-                    backend) -> None:
-    """Gather chunk ``[lo, hi)`` of the step's columns and form its Gram
-    blocks — writes only its own ``Ys``/``G`` slices."""
-    X = arrays["X"]
-    Ys = arrays["Ys"]
-    G = arrays["G"]
-    XT = X.T
-    Ys[lo:hi] = XT[cols[lo:hi].reshape(-1)].reshape(hi - lo, k, m)
-    backend.gram(Ys[lo:hi], out=G[lo:hi])
-
-
-def _task_gram_apply(arrays: dict, lo: int, hi: int, *, cols, tgt, k, m, n,
-                     backend) -> None:
-    """Apply chunk ``[lo, hi)`` of the step's rotation factors and
-    scatter into the (disjoint) target columns."""
-    X = arrays["X"]
-    Ys = arrays["Ys"]
-    W = arrays["W"]
-    V = arrays.get("V")
-    out = backend.apply_wt(W[lo:hi], Ys[lo:hi])  # (Y_i W_i)^T
-    t = tgt[lo:hi].reshape(-1)
-    X[:, t] = out.reshape((hi - lo) * k, m).T
-    if V is not None:
-        Vs = V.T[cols[lo:hi].reshape(-1)].reshape(hi - lo, k, n)
-        vout = backend.apply_wt(W[lo:hi], Vs)
-        V[:, t] = vout.reshape((hi - lo) * k, n).T
+def _apply_wt(w: np.ndarray, y: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``(B, k, k), (B, k, m) -> (B, k, m)``: ``w^T @ y`` per stack entry
+    (the ``out`` form copies the same bits as the allocating form)."""
+    return np.matmul(w.transpose(0, 2, 1), y, out=out)
 
 
 def _gram_measure(
@@ -582,7 +528,6 @@ def _gram_factors(
     sort: str | None,
     inner_sweeps: int,
     floor: np.ndarray,
-    backend: ComputeBackend,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Inner Gram Jacobi plus the sort convention — the factor half of
     the gram kernel, shared by both execution paths.  Returns
@@ -591,7 +536,7 @@ def _gram_factors(
     column targets, or ``cols_arr`` itself with ``sort=None``)."""
     W, rotations, _, _ = gram_eigh_batched(G, tol=tol,
                                            max_sweeps=inner_sweeps,
-                                           floor=floor, backend=backend)
+                                           floor=floor)
     if not np.isfinite(W).all():
         raise NumericalBreakdown(
             "non-finite rotation factor from the inner Gram Jacobi")
@@ -662,7 +607,6 @@ def fastpath_gram_step(
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    backend: ComputeBackend | None = None,
     scratch: "dict | None" = None,
 ) -> tuple[RotationStats, float]:
     """One schedule step of the gram kernel on transposed storage — the
@@ -672,7 +616,7 @@ def fastpath_gram_step(
     as contiguous *rows*; ``row_of_col`` maps column id -> physical row
     (updated in place).  The step gathers its rows into the same
     C-contiguous ``(nb, 2b, m)`` stacks as the event path's
-    :func:`_task_gram_form`, runs the shared measurement/factor helpers,
+    Gram-form phase, runs the shared measurement/factor helpers,
     and scatters results back into the gathered rows — so every GEMM
     sees bit-identical operands in bit-identical layouts, and row-major
     fancy gathers replace the event path's strided column gathers (the
@@ -681,14 +625,13 @@ def fastpath_gram_step(
     zero data movement, same ``stats.exchanged`` count.  ``scratch``
     (see :func:`_fp_buffer`) carries the step stacks across a sweep so
     steady-state steps are allocation-free; ``np.take(..., mode="clip")``
-    and the backends' ``out=`` forms copy the same bits as the
-    allocating forms.
+    and the ``out=`` GEMM forms copy the same bits as the allocating
+    forms.
 
     Raises :class:`~repro.util.errors.NumericalBreakdown` before
     touching any row; the caller materialises ``X``/``V`` and delegates
     the step to the event-path solver (same per-pair fallback chain).
     """
-    backend = backend if backend is not None else numpy_backend()
     stats = RotationStats()
     cols_arr = np.asarray(cols_arr, dtype=np.intp)
     nb, k = cols_arr.shape
@@ -713,7 +656,7 @@ def fastpath_gram_step(
         idx = None
         np.take(XT, rows, axis=0, out=Ys2d, mode="clip")
     Ys = Ys2d.reshape(nb, k, m)
-    G = backend.gram(Ys, out=_fp_buffer(scratch, "G", nb, (k, k)))
+    G = _gram(Ys, out=_fp_buffer(scratch, "G", nb, (k, k)))
     G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act,
@@ -723,7 +666,7 @@ def fastpath_gram_step(
             row_of_col[tgt] = row_of_col[src]
         return stats, worst
     W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor, backend)
+                                          inner_sweeps, floor)
     stats.applied = rotations
     if VT is not None:
         nv = VT.shape[1]
@@ -738,10 +681,10 @@ def fastpath_gram_step(
         # operands out, so the stack buffers are free to take the
         # (Y_i W_i)^T outputs; XT/VT go stale until the next flush
         xstk = _fp_buffer(scratch, "xstk", n_rows, (m,))
-        backend.apply_wt(W, Ys, out=xstk.reshape(nb, k, m))
+        _apply_wt(W, Ys, out=xstk.reshape(nb, k, m))
         if VT is not None:
             vstk = _fp_buffer(scratch, "vstk", n_rows, (nv,))
-            backend.apply_wt(W, Vs, out=vstk.reshape(nb, k, nv))
+            _apply_wt(W, Vs, out=vstk.reshape(nb, k, nv))
         scratch["stack_rows"] = rows
         pos = scratch.get("pos")
         if pos is None or len(pos) != n_rows:
@@ -750,11 +693,11 @@ def fastpath_gram_step(
         pos[rows] = np.arange(n_rows, dtype=np.intp)
     else:
         out2d = _fp_buffer(scratch, "out", nb * k, (m,))
-        backend.apply_wt(W, Ys, out=out2d.reshape(nb, k, m))  # (Y_i W_i)^T
+        _apply_wt(W, Ys, out=out2d.reshape(nb, k, m))  # (Y_i W_i)^T
         XT[rows] = out2d
         if VT is not None:
             vout2d = _fp_buffer(scratch, "vout", nb * k, (nv,))
-            backend.apply_wt(W, Vs, out=vout2d.reshape(nb, k, nv))
+            _apply_wt(W, Vs, out=vout2d.reshape(nb, k, nv))
             VT[rows] = vout2d
     row_of_col[tgt_arr.reshape(-1)] = rows
     return stats, worst
@@ -769,7 +712,6 @@ def _solve_gram_many(
     inner_sweeps: int,
     executor=None,
     sanitizer=None,
-    backend: ComputeBackend | None = None,
 ) -> tuple[RotationStats, float]:
     """BLAS-3 Gram-space solve of a whole step's met pairs at once.
 
@@ -789,7 +731,6 @@ def _solve_gram_many(
     batch would receive extra rotations if batches were split), so
     chunking it would break the determinism contract.
     """
-    backend = backend if backend is not None else numpy_backend()
     stats = RotationStats()
     k = len(pair_cols[0])
     require(all(len(c) == k for c in pair_cols),
@@ -797,41 +738,45 @@ def _solve_gram_many(
     cols_arr = np.asarray(pair_cols, dtype=np.intp)
     nb = len(cols_arr)
     m = X.shape[0]
-    Ys = _scratch(executor, "Ys", (nb, k, m))  # Ys[i] = Y_i^T
-    G = _scratch(executor, "G", (nb, k, k))
+    Ys = np.empty((nb, k, m))  # Ys[i] = Y_i^T
+    G = np.empty((nb, k, k))
+    XT = X.T
+
+    def gram_form(lo: int, hi: int) -> None:
+        # gather chunk [lo, hi) and form its Gram blocks: writes only
+        # its own Ys/G slices
+        Ys[lo:hi] = XT[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, m)
+        _gram(Ys[lo:hi], out=G[lo:hi])
 
     chunked = executor is not None and executor.workers > 1
-    form_arrays = {"X": X, "Ys": Ys, "G": G}
-    form_payload = dict(cols=cols_arr, k=k, m=m, backend=backend)
     if chunked:
-        executor.run_shared(nb, _task_gram_form, form_arrays, **form_payload)
+        executor.run_chunks(nb, gram_form)
     else:
-        _task_gram_form(form_arrays, 0, nb, **form_payload)
+        gram_form(0, nb)
     G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act
         _apply_sort_only(X, V, pair_cols, d, sort, stats, sanitizer)
         return stats, worst
     W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor, backend)
+                                          inner_sweeps, floor)
     stats.applied = rotations
     n = V.shape[0] if V is not None else 0
+
+    def gram_apply(lo: int, hi: int) -> None:
+        # apply chunk [lo, hi) of the rotation factors and scatter into
+        # the (disjoint) target columns
+        out = _apply_wt(W[lo:hi], Ys[lo:hi])  # (Y_i W_i)^T
+        t = tgt_arr[lo:hi].reshape(-1)
+        X[:, t] = out.reshape((hi - lo) * k, m).T
+        if V is not None:
+            Vs = V.T[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, n)
+            V[:, t] = _apply_wt(W[lo:hi], Vs).reshape((hi - lo) * k, n).T
+
     if chunked:
-        # the rotation factors cross the process boundary as shared
-        # memory too: one small copy instead of per-chunk pickles
-        Wb = _scratch(executor, "W", W.shape)
-        Wb[...] = W
-        W = Wb
-    apply_arrays = {"X": X, "Ys": Ys, "W": W}
-    if V is not None:
-        apply_arrays["V"] = V
-    apply_payload = dict(cols=cols_arr, tgt=tgt_arr, k=k, m=m, n=n,
-                         backend=backend)
-    if chunked:
-        executor.run_shared(nb, _task_gram_apply, apply_arrays,
-                            **apply_payload)
+        executor.run_chunks(nb, gram_apply)
     else:
-        _task_gram_apply(apply_arrays, 0, nb, **apply_payload)
+        gram_apply(0, nb)
     if sanitizer is not None:
         for lo, hi in _phase_bounds(executor, nb, chunked):
             sanitizer.record_touch(lo, hi, tgt_arr[lo:hi].reshape(-1))
@@ -848,7 +793,6 @@ def solve_block_step_batch(
     inner_sweeps: int,
     kernel: str = "gram",
     executor=None,
-    compute_backend: "str | ComputeBackend | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve one schedule step for *many problem matrices* at once.
 
@@ -884,43 +828,42 @@ def solve_block_step_batch(
     items = np.asarray(items, dtype=np.intp)
     if items.size == 0 or len(pair_cols) == 0:
         return np.zeros(items.size, dtype=np.intp), np.zeros(items.size)
-    backend = resolve_compute_backend(compute_backend)
 
-    arrays = {"Xs": Xs}
-    if Vs is not None:
-        arrays["Vs"] = Vs
-    payload = dict(items=items, cols=pair_cols, tol=tol, sort=sort,
-                   inner_sweeps=inner_sweeps, kernel=kernel, backend=backend)
+    def solve_items(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return _solve_batch_items(Xs, Vs, items[lo:hi], pair_cols, tol,
+                                  sort, inner_sweeps, kernel)
+
     if executor is None or executor.workers == 1 or items.size == 1:
-        return _task_batch_items(arrays, 0, items.size, **payload)
+        return solve_items(0, items.size)
     applied = np.empty(items.size, dtype=np.intp)
     worst = np.empty(items.size)
     pos = 0
-    for ap, wo in executor.run_shared(items.size, _task_batch_items,
-                                      arrays, **payload):
+    for ap, wo in executor.run_chunks(items.size, solve_items):
         applied[pos:pos + len(ap)] = ap
         worst[pos:pos + len(wo)] = wo
         pos += len(ap)
     return applied, worst
 
 
-def _task_batch_items(
-    arrays: dict, lo: int, hi: int, *, items, cols, tol, sort,
-    inner_sweeps, kernel, backend,
+def _solve_batch_items(
+    Xs: np.ndarray,
+    Vs: np.ndarray | None,
+    sub: np.ndarray,
+    cols: "list[np.ndarray] | np.ndarray",
+    tol: float,
+    sort: str | None,
+    inner_sweeps: int,
+    kernel: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk task of the batch path: solve batch items ``[lo, hi)``."""
-    Xs = arrays["Xs"]
-    Vs = arrays.get("Vs")
-    sub = items[lo:hi]
+    """One chunk of the batch path: solve the batch items ``sub``."""
     if kernel == "gram":
-        return _solve_gram_batch(Xs, Vs, sub, cols, tol, sort,
-                                 inner_sweeps, backend)
-    applied = np.zeros(hi - lo, dtype=np.intp)
-    worst = np.zeros(hi - lo)
+        return _solve_gram_batch(Xs, Vs, sub, cols, tol, sort, inner_sweeps)
+    applied = np.zeros(sub.size, dtype=np.intp)
+    worst = np.zeros(sub.size)
     for j, i in enumerate(sub):
         st, mx = _solve_step_body(
             Xs[i], None if Vs is None else Vs[i], cols, tol, sort,
-            inner_sweeps, kernel, None, None, backend)
+            inner_sweeps, kernel, None, None)
         applied[j] = st.applied
         worst[j] = mx
     return applied, worst
@@ -972,14 +915,12 @@ def _solve_gram_batch(
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    backend: ComputeBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gram kernel's problem-axis super-batch (see
     :func:`solve_block_step_batch`): :func:`_solve_gram_many` with the
     batch dimension extended from ``n_pairs`` to ``B x n_pairs`` and
     every per-matrix decision (sort-only early exit, inner-Jacobi
     convergence, breakdown delegation) taken per problem."""
-    backend = backend if backend is not None else numpy_backend()
     nm = items.size
     k = len(pair_cols[0])
     require(all(len(c) == k for c in pair_cols),
@@ -993,7 +934,7 @@ def _solve_gram_batch(
 
     XsT = Xs.transpose(0, 2, 1)  # (B, n, m) view of the column stacks
     Ys = XsT[np.ix_(items, allcols)].reshape(nm * nb, k, m)
-    G = backend.gram(Ys)
+    G = _gram(Ys)
 
     def delegate(j: int) -> None:
         # the solo path re-forms this item's Gram blocks from its still
@@ -1001,7 +942,7 @@ def _solve_gram_batch(
         # fallback chain — bit-identical to a standalone run
         st, mx = _solve_step_body(
             Xs[items[j]], None if Vs is None else Vs[items[j]], pair_cols,
-            tol, sort, inner_sweeps, "gram", None, None, backend)
+            tol, sort, inner_sweeps, "gram", None, None)
         applied[j] = st.applied
         worst_out[j] = mx
 
@@ -1039,8 +980,7 @@ def _solve_gram_batch(
     sel_sv = _expand_groups(sv_local, nb)
     Gs = G[sel_sv]
     Ws, rots, _, _ = gram_eigh_grouped(Gs, tol=tol, max_sweeps=inner_sweeps,
-                                       floor=floor[sel_sv], group_size=nb,
-                                       backend=backend)
+                                       floor=floor[sel_sv], group_size=nb)
     wfin = np.isfinite(Ws).reshape(sv_local.size, -1).all(axis=1)
     for j_local in np.flatnonzero(~wfin):
         delegate(int(keep[sv_local[j_local]]))
@@ -1061,13 +1001,13 @@ def _solve_gram_batch(
     else:
         tgt_flat = allcols
     rows = items[keep[sv_local[ok_local]]]
-    out = backend.apply_wt(W_ok, Ys_ok)  # (Y_i W_i)^T per pair
+    out = _apply_wt(W_ok, Ys_ok)  # (Y_i W_i)^T per pair
     XsT[np.ix_(rows, tgt_flat)] = out.reshape(rows.size, nb * k, m)
     if Vs is not None:
         n = Vs.shape[2]
         VsT = Vs.transpose(0, 2, 1)
         Vg = VsT[np.ix_(rows, allcols)].reshape(rows.size * nb, k, n)
-        vout = backend.apply_wt(W_ok, Vg)
+        vout = _apply_wt(W_ok, Vg)
         VsT[np.ix_(rows, tgt_flat)] = vout.reshape(rows.size, nb * k, n)
     applied[keep[sv_local[ok_local]]] = rots[ok_local]
     return applied, worst_out

@@ -22,10 +22,9 @@ Subcommands
                                  the survival matrix (exit 1 on any casualty)
 ``tune --m M --n N [--batch B] [--quick] [--dry-run] [--check]``
                                  search (kernel, ordering, block size,
-                                 executor, workers, compute backend) for the
-                                 shape and persist the winner as a tuned
-                                 profile (PROFILE_<host>.json)
-``backends [--json]``            list executor / compute-backend probe status
+                                 executor, workers) for the shape and
+                                 persist the winner as a tuned profile
+                                 (PROFILE_<host>.json)
 """
 
 from __future__ import annotations
@@ -79,20 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run at block granularity with B columns per "
                           "schedule unit (default: scalar, 1 column)")
     run.add_argument("--executor", default=None,
-                     choices=["serial", "threads", "processes"],
-                     help="block step-execution backend (threads/processes "
-                          "split each step's pair subproblems across "
-                          "workers, bit-identical to serial; processes work "
-                          "on shared-memory views; needs --block-size)")
+                     choices=["serial", "threads"],
+                     help="block step-execution backend (threads split "
+                          "each step's pair subproblems across workers, "
+                          "bit-identical to serial; needs --block-size)")
     run.add_argument("--workers", type=int, default=None, metavar="W",
-                     help="workers of --executor threads/processes "
-                          "(default: $REPRO_WORKERS or the CPU count)")
-    run.add_argument("--compute-backend", default=None,
-                     choices=["numpy", "einsum", "numba", "cupy"],
-                     help="batched-GEMM backend of the block kernels "
-                          "(einsum is bit-identical to numpy; numba/cupy "
-                          "are optional and fall back to numpy when "
-                          "unavailable; needs --block-size)")
+                     help="workers of --executor threads "
+                          "(default: $REPRO_WORKERS or the usable CPU count)")
     run.add_argument("--sanitize", action="store_true",
                      help="arm the runtime sanitizer (write-set records + "
                           "sweep-boundary numeric canaries; needs "
@@ -198,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser(
         "tune",
         help="search kernel x ordering x block size x executor x workers "
-             "x compute backend for one shape and persist the winner as "
-             "a tuned profile (PROFILE_<host>.json)",
+             "for one shape and persist the winner as a tuned profile "
+             "(PROFILE_<host>.json)",
     )
     tune.add_argument("--m", type=int, default=96)
     tune.add_argument("--n", type=int, default=64)
@@ -210,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="one candidate per axis and a short repeat "
                            "schedule (CI smoke mode)")
     tune.add_argument("--dry-run", action="store_true",
-                      help="print the candidate space (availability-"
-                           "filtered) without timing anything")
+                      help="print the candidate space without timing "
+                           "anything")
     tune.add_argument("--out", default=".", metavar="DIR",
                       help="directory the profile is written to")
     tune.add_argument("--host", default=None, metavar="TAG",
@@ -227,14 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 1.0: strictly no slower)")
     tune.add_argument("--json", action="store_true",
                       help="emit the tune result as JSON")
-
-    backends = sub.add_parser(
-        "backends",
-        help="list the step-executor and compute-backend probe status of "
-             "this host (what tune's availability filter consumes)",
-    )
-    backends.add_argument("--json", action="store_true",
-                          help="emit the catalogue as JSON")
     return p
 
 
@@ -373,8 +357,7 @@ def _tune(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench import pin_blas_threads
-    from repro.tune import (backend_catalogue, candidate_space, profile_path,
-                            save_profile, tune)
+    from repro.tune import candidate_space, profile_path, save_profile, tune
 
     if args.m < 2 or args.n < 2 or args.m < args.n:
         print("need --m >= --n >= 2")
@@ -386,14 +369,13 @@ def _tune(args: argparse.Namespace) -> int:
         print("--slack must be a positive ratio")
         return 2
 
-    catalogue = backend_catalogue()
     candidates = candidate_space(args.m, args.n, args.batch,
-                                 quick=args.quick, catalogue=catalogue)
+                                 quick=args.quick)
     if args.dry_run:
         if args.json:
             print(json.dumps({
                 "m": args.m, "n": args.n, "batch": args.batch,
-                "quick": args.quick, "catalogue": catalogue,
+                "quick": args.quick,
                 "candidates": [c.options_dict() for c in candidates],
             }, indent=2))
         else:
@@ -448,25 +430,6 @@ def _tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backends(args: argparse.Namespace) -> int:
-    """The ``backends`` subcommand body (always exit 0: an unavailable
-    optional backend is information, not an error)."""
-    import json
-
-    from repro.tune import backend_catalogue
-
-    catalogue = backend_catalogue()
-    if args.json:
-        print(json.dumps(catalogue, indent=2))
-        return 0
-    for family, status in catalogue.items():
-        print(f"{family}:")
-        for name, reason in status.items():
-            state = "available" if reason is None else f"unavailable: {reason}"
-            print(f"  {name:<10} {state}")
-    return 0
-
-
 def _svd(args: argparse.Namespace) -> int:
     """The ``svd`` subcommand body; returns a process exit code (0 ok,
     1 non-converged result, 2 usage error)."""
@@ -484,9 +447,6 @@ def _svd(args: argparse.Namespace) -> int:
         return 2
     if args.workers is not None and args.block_size is None:
         print("--workers applies to block mode; pass --block-size B")
-        return 2
-    if args.compute_backend is not None and args.block_size is None:
-        print("--compute-backend applies to block mode; pass --block-size B")
         return 2
     if args.max_sweeps is not None and args.max_sweeps < 1:
         print("--max-sweeps must be >= 1")
@@ -547,7 +507,6 @@ def _svd(args: argparse.Namespace) -> int:
             batch = svd_batch(stack, ordering=args.ordering,
                               kernel=args.kernel, block_size=args.block_size,
                               executor=args.executor, workers=args.workers,
-                              compute_backend=args.compute_backend,
                               options=options)
         print(f"batch of {len(batch)}: {batch.summary()}")
         print(f"elapsed={batch.elapsed_s:.3f}s "
@@ -574,8 +533,7 @@ def _svd(args: argparse.Namespace) -> int:
 
             r = svd(a, ordering=args.ordering, kernel=args.kernel,
                     block_size=args.block_size, executor=args.executor,
-                    workers=args.workers,
-                    compute_backend=args.compute_backend, options=options)
+                    workers=args.workers, options=options)
             print(f"converged={r.converged} sweeps={r.sweeps} "
                   f"rotations={r.rotations} sorted={r.emerged_sorted}")
         else:
@@ -586,7 +544,6 @@ def _svd(args: argparse.Namespace) -> int:
                                   block_size=args.block_size,
                                   executor=args.executor,
                                   workers=args.workers,
-                                  compute_backend=args.compute_backend,
                                   options=options, fault_plan=plan)
             print(f"converged={r.converged} sweeps={r.sweeps}")
             print(f"total={rep.total_time:.0f} compute={rep.compute_time:.0f} "
@@ -763,9 +720,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "tune":
         return _tune(args)
-
-    if args.command == "backends":
-        return _backends(args)
 
     if args.command == "svd":
         return _svd(args)

@@ -31,6 +31,7 @@ from ..util.bits import is_power_of_two
 from ..util.validation import (as_float_matrix, as_float_stack, require,
                                require_finite)
 from .result import BatchResult, SVDResult
+from .scaling import range_scale, range_unscale
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
@@ -55,7 +56,6 @@ def _profile_fill(
     block_size: int | None,
     executor: str | None,
     workers: int | None,
-    compute_backend: str | None,
 ):
     """Fill unset knobs from a tuned profile; resolve ordering defaults.
 
@@ -65,8 +65,8 @@ def _profile_fill(
     argument always wins — and the fill is conservative where knobs
     couple: the kernel family (kernel + block size) fills only when the
     caller set *neither*, and the block-mode-only knobs (executor,
-    workers, compute backend) fill only when the resolved configuration
-    actually is block mode.  An explicit ``options`` object is a
+    workers) fill only when the resolved configuration actually is
+    block mode.  An explicit ``options`` object is a
     complete configuration, so the profile then fills nothing but the
     ordering.  The tune import is lazy (``repro.tune`` times this
     module's entry points — a module-level import would be a cycle).
@@ -89,11 +89,9 @@ def _profile_fill(
                         executor = filled["executor"]
                     if workers is None:
                         workers = filled["workers"]
-                    if compute_backend is None:
-                        compute_backend = filled["compute_backend"]
     if ordering is None:
         ordering = default_ordering
-    return ordering, kernel, block_size, executor, workers, compute_backend
+    return ordering, kernel, block_size, executor, workers
 
 
 def _with_kernel(
@@ -110,17 +108,15 @@ def _block_options(
     block_size: int | None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
 ) -> BlockJacobiOptions | None:
     """Resolve the block-mode options, or ``None`` for scalar mode.
 
     Block mode is requested by ``block_size`` or by passing a
     :class:`BlockJacobiOptions` directly; scalar ``JacobiOptions`` carry
-    their shared knobs (tol, max_sweeps, sort, compute_backend) over.  A
-    block-only kernel (``"gram"``) without a block size is a usage
-    error, as is an explicit step executor or compute backend (the
-    scalar kernels have no independent pair subproblems to hand to
-    workers and no GEMM phase to retarget).
+    their shared knobs (tol, max_sweeps, sort) over.  A block-only
+    kernel (``"gram"``) without a block size is a usage error, as is an
+    explicit step executor (the scalar kernels have no independent pair
+    subproblems to hand to workers).
     """
     if block_size is None and not isinstance(options, BlockJacobiOptions):
         require(kernel != "gram",
@@ -130,9 +126,6 @@ def _block_options(
                 "pass block_size=...")
         require(workers is None,
                 "workers= applies to block mode only; pass block_size=...")
-        require(compute_backend is None,
-                f"compute_backend={compute_backend!r} applies to block "
-                "mode only; pass block_size=...")
         return None
     if isinstance(options, BlockJacobiOptions):
         base = options
@@ -142,8 +135,7 @@ def _block_options(
         shared = {}
         if options is not None:
             shared = {"tol": options.tol, "max_sweeps": options.max_sweeps,
-                      "sort": options.sort,
-                      "compute_backend": options.compute_backend}
+                      "sort": options.sort}
         base = BlockJacobiOptions(block_size=block_size, **shared)
     if kernel is not None:
         require(kernel in BLOCK_KERNELS,
@@ -154,8 +146,6 @@ def _block_options(
         base = dataclasses.replace(base, executor=executor)
     if workers is not None:
         base = dataclasses.replace(base, workers=workers)
-    if compute_backend is not None:
-        base = dataclasses.replace(base, compute_backend=compute_backend)
     return base
 
 
@@ -167,7 +157,6 @@ def svd(
     block_size: int | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
     fault_plan: "FaultPlan | None" = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
@@ -189,16 +178,19 @@ def svd(
     decided at block granularity.
 
     ``executor``/``workers`` pick the step-execution backend of block
-    mode (``"serial"``, ``"threads"`` or ``"processes"``; workers split
-    each step's independent pair subproblems, bit-identical to serial —
-    processes work on shared-memory views of the column buffer) — see
-    :mod:`repro.parallel.executor`.  ``compute_backend`` retargets the
-    block kernels' batched GEMM phases (:mod:`repro.kernels`).
+    mode (``"serial"`` or ``"threads"``; workers split each step's
+    independent pair subproblems, bit-identical to serial) — see
+    :mod:`repro.parallel.executor`.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) runs the
     decomposition on the simulated tree machine under fault injection
     and recovery; the telemetry is discarded and only the result
     returned (use :func:`parallel_svd` to keep the run report).
+
+    Inputs whose largest magnitude lies far outside the unit range are
+    scaled by an exact power of two before the iteration and ``sigma``
+    is scaled back (:mod:`repro.core.scaling`); ``history`` stays in the
+    scaled frame.
 
     ``profile`` (a ``PROFILE_<host>.json`` path or loaded mapping; also
     ``$REPRO_PROFILE``) fills every knob left unset from the nearest
@@ -207,21 +199,19 @@ def svd(
     the paper's ``"fat_tree"``.
     """
     a = as_float_matrix(a, "a")
-    (ordering, kernel, block_size, executor, workers,
-     compute_backend) = _profile_fill(
+    ordering, kernel, block_size, executor, workers = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "fat_tree", ordering,
-        options, kernel, block_size, executor, workers, compute_backend)
+        options, kernel, block_size, executor, workers)
     if fault_plan is not None:
         # fault injection lives in the machine layer; run there and
         # return just the decomposition
         result, _ = parallel_svd(
             a, topology="perfect", ordering=ordering, options=options,
             kernel=kernel, block_size=block_size, executor=executor,
-            workers=workers, compute_backend=compute_backend,
-            fault_plan=fault_plan, **ordering_kwargs)
+            workers=workers, fault_plan=fault_plan, **ordering_kwargs)
         return result
-    bopts = _block_options(options, kernel, block_size, executor, workers,
-                           compute_backend)
+    bopts = _block_options(options, kernel, block_size, executor, workers)
+    a, shift = range_scale(a)
     n = a.shape[1]
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
@@ -232,20 +222,25 @@ def svd(
             if pow2 else (n_blocks % 2 == 0 and n_blocks >= 2)
         )
         if admissible:
-            return block_jacobi_svd(a, ordering=ordering, options=bopts,
-                                    **ordering_kwargs)
-        padded, orig = pad_columns(a, power_of_two=pow2, block_size=b)
-        result = block_jacobi_svd(padded, ordering=ordering, options=bopts,
-                                  **ordering_kwargs)
-        return strip_padding(result, orig)
-    options = _with_kernel(options, kernel)
-    admissible = (is_power_of_two(n) and n >= 4) if pow2 else (n % 2 == 0)
-    if admissible:
-        return jacobi_svd(a, ordering=ordering, options=options, **ordering_kwargs)
-    padded, orig = pad_columns(a, power_of_two=pow2)
-    result = jacobi_svd(padded, ordering=ordering, options=options,
-                        allow_wide=True, **ordering_kwargs)
-    return strip_padding(result, orig)
+            result = block_jacobi_svd(a, ordering=ordering, options=bopts,
+                                      **ordering_kwargs)
+        else:
+            padded, orig = pad_columns(a, power_of_two=pow2, block_size=b)
+            result = strip_padding(
+                block_jacobi_svd(padded, ordering=ordering, options=bopts,
+                                 **ordering_kwargs), orig)
+    else:
+        options = _with_kernel(options, kernel)
+        admissible = (is_power_of_two(n) and n >= 4) if pow2 else (n % 2 == 0)
+        if admissible:
+            result = jacobi_svd(a, ordering=ordering, options=options,
+                                **ordering_kwargs)
+        else:
+            padded, orig = pad_columns(a, power_of_two=pow2)
+            result = strip_padding(
+                jacobi_svd(padded, ordering=ordering, options=options,
+                           allow_wide=True, **ordering_kwargs), orig)
+    return range_unscale(result, int(shift))
 
 
 def parallel_svd(
@@ -258,7 +253,6 @@ def parallel_svd(
     block_size: int | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
     fault_plan: "FaultPlan | None" = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
@@ -268,9 +262,8 @@ def parallel_svd(
     ``block_size=b`` runs the machine at block granularity: ``n / b``
     schedule units, ``b``-column messages, block kernels on the leaves
     (the BLAS-3 gram kernel by default).  ``executor``/``workers``
-    choose the block step-execution backend (``"serial"``, ``"threads"``
-    or ``"processes"``, bit-identical) and ``compute_backend`` the GEMM
-    backend — see :mod:`repro.parallel.executor` / :mod:`repro.kernels`.
+    choose the block step-execution backend (``"serial"`` or
+    ``"threads"``, bit-identical) — see :mod:`repro.parallel.executor`.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) injects the
     planned faults during the run; the machine recovers via the ack/seq
@@ -281,15 +274,15 @@ def parallel_svd(
 
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile exactly as in :func:`svd`; the ordering default here is the
-    machine-level ``"hybrid"``.
+    machine-level ``"hybrid"``.  Out-of-range inputs are scaled as in
+    :func:`svd`.
     """
     a = as_float_matrix(a, "a")
-    (ordering, kernel, block_size, executor, workers,
-     compute_backend) = _profile_fill(
+    ordering, kernel, block_size, executor, workers = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "hybrid", ordering,
-        options, kernel, block_size, executor, workers, compute_backend)
-    bopts = _block_options(options, kernel, block_size, executor, workers,
-                           compute_backend)
+        options, kernel, block_size, executor, workers)
+    bopts = _block_options(options, kernel, block_size, executor, workers)
+    a, shift = range_scale(a)
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
         options = bopts
@@ -308,7 +301,7 @@ def parallel_svd(
     result, report = driver.compute(padded, fault_plan=fault_plan)
     if padded.shape[1] != orig:
         result = strip_padding(result, orig)
-    return result, report
+    return range_unscale(result, int(shift)), report
 
 
 def _as_batch_stack(matrices: "np.ndarray | Sequence[np.ndarray]") -> np.ndarray:
@@ -338,7 +331,6 @@ def svd_batch(
     block_size: int | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
 ) -> BatchResult:
@@ -358,11 +350,9 @@ def svd_batch(
     solves fuse the whole batch into stacked GEMMs, with per-item
     convergence masks dropping finished matrices out of later sweeps
     (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
-    ``executor="threads"`` / ``"processes"`` chunk *batch items* across
-    workers (processes via shared-memory views of the stack), so
-    throughput scales with cores while the bits stay those of a serial
-    loop.  Scalar mode (no ``block_size``) falls back to a plain loop of
-    :func:`svd`.
+    ``executor="threads"`` chunks *batch items* across workers, while
+    the bits stay those of a serial loop.  Scalar mode (no
+    ``block_size``) falls back to a plain loop of :func:`svd`.
 
     A non-finite entry raises ``ValueError`` naming the offending batch
     index and coordinates (``matrices[i] contains ... at index (r, c)``).
@@ -370,26 +360,26 @@ def svd_batch(
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile as in :func:`svd`, with the batch size part of the shape
     lookup (a profile tuned for this batch shape wins over single-call
-    entries).
+    entries).  Each item is range-scaled on its own, exactly as
+    :func:`svd` would scale it.
     """
     stack = _as_batch_stack(matrices)
     nitems, _, n = stack.shape
-    (ordering, kernel, block_size, executor, workers,
-     compute_backend) = _profile_fill(
+    ordering, kernel, block_size, executor, workers = _profile_fill(
         profile, stack.shape[1], n, nitems, "fat_tree", ordering,
-        options, kernel, block_size, executor, workers, compute_backend)
+        options, kernel, block_size, executor, workers)
     # vectorised finiteness sweep; on failure re-check the first bad item
     # so the error names the batch index and in-matrix coordinates
     ok = np.isfinite(stack).reshape(nitems, -1).all(axis=1)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         require_finite(stack[i], f"matrices[{i}]")
-    bopts = _block_options(options, kernel, block_size, executor, workers,
-                           compute_backend)
+    bopts = _block_options(options, kernel, block_size, executor, workers)
     pow2 = _needs_power_of_two(ordering)
     before = plan_cache_stats()
     t0 = time.perf_counter()
     if bopts is not None:
+        stack, shifts = range_scale(stack)
         b = bopts.block_size
         n_blocks, rem = divmod(n, b)
         admissible = rem == 0 and (
@@ -410,6 +400,7 @@ def svd_batch(
                                                 options=bopts,
                                                 **ordering_kwargs)
             ]
+        results = [range_unscale(r, int(k)) for r, k in zip(results, shifts)]
     else:
         scalar_opts = _with_kernel(options, kernel)
         results = [

@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from ..util.errors import ConvergenceWarning
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.events import FaultEvent
     from ..orderings.plan import PlanCacheStats
 
-__all__ = ["BatchResult", "SVDResult", "SweepRecord"]
+__all__ = ["BatchResult", "SVDResult", "SweepRecord", "sigma_converged"]
+
+
+def sigma_converged(sigma: np.ndarray, converged: bool) -> bool:
+    """The convergence flag a result may report for ``sigma``.
+
+    A non-finite singular value is never a converged answer: the flag
+    drops to ``False`` and a :class:`ConvergenceWarning` names the cause.
+    Every result builder passes its flag through here.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(sigma)))
+    if bad:
+        warnings.warn(
+            f"{bad} of {len(sigma)} singular value(s) are not finite; "
+            "the result is reported as not converged",
+            ConvergenceWarning, stacklevel=3)
+        return False
+    return converged
 
 
 @dataclass

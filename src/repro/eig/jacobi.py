@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..kernels import ComputeBackend, numpy_backend
 from ..orderings.base import Ordering
 from ..orderings.registry import make_ordering
 from ..util.validation import require
@@ -209,7 +208,6 @@ def gram_eigh_batched(
     tol: float = 1e-12,
     max_sweeps: int = 60,
     floor: np.ndarray | float = 0.0,
-    backend: ComputeBackend | None = None,
 ) -> tuple[np.ndarray, int, int, bool]:
     """Cyclic two-sided Jacobi on a *stack* of small symmetric matrices.
 
@@ -240,7 +238,6 @@ def gram_eigh_batched(
     """
     require(g.ndim == 3 and g.shape[1] == g.shape[2],
             "stack of square matrices expected")
-    bk = backend if backend is not None else numpy_backend()
     nb, k = g.shape[0], g.shape[1]
     require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
     fdiv = np.asarray(floor, dtype=np.float64).reshape(-1, 1) / tol \
@@ -282,9 +279,9 @@ def gram_eigh_batched(
             J[:, q, q] = c
             J[:, p, q] = s
             J[:, q, p] = -s
-            bk.matmul(g, J, out=tmp)
-            bk.matmul(J.transpose(0, 2, 1), tmp, out=g)
-            bk.matmul(W, J, out=Wbuf)
+            np.matmul(g, J, out=tmp)
+            np.matmul(J.transpose(0, 2, 1), tmp, out=g)
+            np.matmul(W, J, out=Wbuf)
             W, Wbuf = Wbuf, W
             J[:, p, q] = 0.0
             J[:, q, p] = 0.0
@@ -301,7 +298,6 @@ def gram_eigh_grouped(
     max_sweeps: int = 60,
     floor: np.ndarray | float = 0.0,
     group_size: int = 1,
-    backend: ComputeBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`gram_eigh_batched` with *independent convergence per group*.
 
@@ -325,7 +321,6 @@ def gram_eigh_grouped(
     """
     require(g.ndim == 3 and g.shape[1] == g.shape[2],
             "stack of square matrices expected")
-    bk = backend if backend is not None else numpy_backend()
     nb, k = g.shape[0], g.shape[1]
     require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
     require(group_size >= 1 and nb % group_size == 0,
@@ -380,9 +375,9 @@ def gram_eigh_grouped(
             Ja[:, q, q] = c
             Ja[:, p, q] = s
             Ja[:, q, p] = -s
-            bk.matmul(ga, Ja, out=tmp)
-            bk.matmul(Ja.transpose(0, 2, 1), tmp, out=ga)
-            bk.matmul(Wa, Ja, out=Wbuf)
+            np.matmul(ga, Ja, out=tmp)
+            np.matmul(Ja.transpose(0, 2, 1), tmp, out=ga)
+            np.matmul(Wa, Ja, out=Wbuf)
             Wa, Wbuf = Wbuf, Wa
             Ja[:, p, q] = 0.0
             Ja[:, q, p] = 0.0

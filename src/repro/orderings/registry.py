@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from .base import Ordering
 from .fattree import FatTreeOrdering
@@ -14,23 +15,16 @@ from .roundrobin import RoundRobinOrdering
 
 __all__ = ["ORDERINGS", "make_ordering", "ordering_names"]
 
-
-def _ring(n: int, **kw: object) -> Ordering:
-    return RingOrdering(n, modified=False)
-
-
-def _ring_modified(n: int, **kw: object) -> Ordering:
-    return RingOrdering(n, modified=True)
-
-
+#: name -> constructor; keyword arguments go straight to the constructor,
+#: so one it does not take raises ``TypeError`` instead of being dropped
 ORDERINGS: dict[str, Callable[..., Ordering]] = {
-    "round_robin": lambda n, **kw: RoundRobinOrdering(n),
-    "odd_even": lambda n, **kw: OddEvenOrdering(n),
-    "ring_new": _ring,
-    "ring_modified": _ring_modified,
-    "fat_tree": lambda n, **kw: FatTreeOrdering(n),
-    "llb": lambda n, **kw: LLBOrdering(n, **kw),
-    "hybrid": lambda n, **kw: HybridOrdering(n, **kw),
+    "round_robin": RoundRobinOrdering,
+    "odd_even": OddEvenOrdering,
+    "ring_new": partial(RingOrdering, modified=False),
+    "ring_modified": partial(RingOrdering, modified=True),
+    "fat_tree": FatTreeOrdering,
+    "llb": LLBOrdering,
+    "hybrid": HybridOrdering,
 }
 
 

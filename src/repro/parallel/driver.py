@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..blockjacobi.driver import BlockJacobiOptions
-from ..core.result import SVDResult, SweepRecord
+from ..core.result import SVDResult, SweepRecord, sigma_converged
 from ..machine.costmodel import CostModel
 from ..machine.simulator import TreeMachine
 from ..machine.stats import SweepStats
@@ -170,8 +170,7 @@ class ParallelJacobiSVD:
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel,
                          block_size=opts.block_size,
                          inner_sweeps=opts.inner_sweeps,
-                         executor=executor, sanitizer=sanitizer,
-                         compute_backend=opts.make_compute_backend())
+                         executor=executor, sanitizer=sanitizer)
         else:
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel)
         if sanitizer is not None:
@@ -182,11 +181,6 @@ class ParallelJacobiSVD:
                 sanitizer)
         finally:
             if executor is not None:
-                # shared-memory views die with the arena; copy the
-                # machine's state out so callers can keep reading it
-                machine.X = executor.reclaim(machine.X)
-                if machine.V is not None:
-                    machine.V = executor.reclaim(machine.V)
                 executor.close()
 
     def _compute_loaded(
@@ -295,7 +289,7 @@ class ParallelJacobiSVD:
             sigma=sigma,
             v=v,
             rank=rank,
-            converged=converged,
+            converged=sigma_converged(sigma, converged),
             sweeps=sweeps,
             rotations=sum(h.rotations for h in history),
             sigma_by_slot=sigma_by_slot,

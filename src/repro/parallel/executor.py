@@ -5,8 +5,8 @@ block pairs met in one step occupy disjoint column sets, so their local
 subproblems are independent.  The simulator charges that parallelism to
 the cost model; this module adds the real thing — a
 :class:`StepExecutor` abstraction whose backends run a step's
-independent work items across OS threads or processes sharing the
-column buffer.
+independent work items in the calling thread or across OS threads
+sharing the column buffer.
 
 Backends
 --------
@@ -15,66 +15,23 @@ Backends
 ``threads``
     A reused :class:`~concurrent.futures.ThreadPoolExecutor`.  Numpy's
     GEMMs drop the GIL, so the BLAS-3 phases of the gram kernel (and the
-    per-pair reference/batched solves) genuinely overlap on multicore
-    hosts.
-``processes``
-    A persistent :class:`~concurrent.futures.ProcessPoolExecutor` whose
-    workers operate on ``multiprocessing.shared_memory`` views of the
-    column/V arrays.  The GIL-bound python between the GEMMs (gather
-    index math, small-loop solvers) parallelises for real.  Chunks are
-    dispatched **by bounds, not by pickling matrices**: a task ships as
-    a module-level function reference, the ``(segment name, shape,
-    dtype)`` specs of the shared arrays, the ``(lo, hi)`` bounds, and a
-    small payload — workers attach the segments by name (cached per
-    process) and write their disjoint slices in place.
-
-Shared-memory protocol (``processes``)
---------------------------------------
-The run's long-lived arrays enter the arena through
-:meth:`StepExecutor.adopt` (drivers adopt ``X``/``V`` once per run; the
-returned array is a shared-memory view the driver keeps using) and
-per-step scratch stacks through :meth:`StepExecutor.scratch` (reused,
-grown geometrically).  :meth:`StepExecutor.reclaim` copies a view back
-to private memory before :meth:`StepExecutor.close` frees the arena.
-On serial/threads all three are identity/``np.empty`` no-ops, so kernel
-code is written once against the same seam.  If a shared dispatch
-receives an array that is *not* arena-backed (e.g. a driver that never
-adopted), the executor round-trips it through a temporary segment —
-correct, but a documented slow path.
-
-Pool lifecycle: process pools are module-global, created lazily, keyed
-by ``(start method, workers)`` and reused across runs (worker startup
-would otherwise dominate); ``close()`` frees only the executor's arena.
-An ``atexit`` hook (and :func:`shutdown_process_pools`) tears the pools
-down.  The start method is ``$REPRO_MP_START`` when set, else
-``forkserver`` where available (fork-from-a-single-threaded-server: no
-fork-with-threads hazard, cheap per-worker startup), else ``spawn``.
-
-A worker process dying mid-dispatch (OOM kill, segfault) surfaces as
-:class:`WorkerCrashError`; the broken pool is discarded so the *next*
-dispatch transparently gets a fresh one — under the fault-recovery
-driver the error rolls the sweep back to its checkpoint like any other
-mid-step crash.
+    per-pair reference/batched solves) can overlap on multicore hosts.
 
 Determinism contract
 --------------------
-Results are **bit-identical to serial for any worker count, on every
-backend**.  Three rules make that hold by construction:
+Results are **bit-identical to serial for any worker count**.  Three
+rules make that hold by construction:
 
 1. *Disjoint writes.*  A work item writes only its own columns (the
    schedule's step pairs are disjoint); chunks of a batched phase write
    only their own slice of a preallocated output.  No write is ever
-   shared, so memory order cannot matter.  For processes the analyzer
-   additionally proves the chunk write-sets map to disjoint
-   shared-memory ranges (rule ``EXEC005``).
+   shared, so memory order cannot matter.
 2. *Identical per-item arithmetic.*  Chunking only splits the batch
    dimension of batched GEMMs (each 2D GEMM in the batch is unchanged)
    or the loop over independent pairs; no floating-point operation is
-   reassociated.  A worker process runs the same numpy/BLAS build on
-   the same slice, so per-chunk arithmetic is bit-identical across
-   process boundaries too.  Coupled reductions — notably the inner Gram
-   Jacobi, whose convergence floor couples matrices across the batch —
-   are *never* chunked (see
+   reassociated.  Coupled reductions — notably the inner Gram Jacobi,
+   whose convergence floor couples matrices across the batch — are
+   *never* chunked (see
    :func:`repro.blockjacobi.kernel.solve_block_step`).
 3. *Deterministic reduction.*  Convergence statistics are merged in
    chunk order, and the first exception (by chunk index, not by wall
@@ -87,105 +44,33 @@ switched onto another backend without code changes.
 
 from __future__ import annotations
 
-import atexit
 import operator
 import os
-import secrets
-import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, TypeVar
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, TypeVar
 
 from ..util.validation import require
 
 __all__ = [
     "EXECUTORS",
-    "ProcessStepExecutor",
     "SerialExecutor",
     "StepExecutor",
     "ThreadStepExecutor",
-    "WorkerCrashError",
     "default_executor_name",
     "default_workers",
-    "executor_availability",
     "resolve_executor",
-    "shutdown_process_pools",
+    "usable_cpu_count",
 ]
 
 #: registered executor backends, in robustness order
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "threads")
 
 T = TypeVar("T")
 
 
-class WorkerCrashError(RuntimeError):
-    """A worker process died mid-dispatch (killed, segfaulted, OOMed).
-
-    The shared buffers may hold a partially written step, so the only
-    safe reactions are retrying the whole step from clean data or —
-    under the fault-recovery driver — rolling back to the last sweep
-    checkpoint.  The broken pool has already been discarded; the next
-    dispatch gets a fresh one.
-    """
-
-
-# ----------------------------------------------------- availability
-
-def _probe_serial() -> None:
-    return None
-
-
-def _probe_threads() -> None:
-    return None
-
-
-def _probe_processes() -> None:
-    # shared_memory needs a POSIX shm / Windows mapping implementation;
-    # ProcessPoolExecutor needs working OS semaphores — both are missing
-    # on some minimal platforms (e.g. WASM, some AWS Lambda images)
-    from multiprocessing import shared_memory, synchronize  # noqa: F401
-
-
-#: per-backend probes; tests monkeypatch entries to simulate a host
-#: where an optional backend exists but cannot be imported
-_PROBES: dict[str, Callable[[], None]] = {
-    "serial": _probe_serial,
-    "threads": _probe_threads,
-    "processes": _probe_processes,
-}
-
-
-def executor_availability() -> dict[str, str | None]:
-    """Per-backend availability: ``None`` when usable, else the captured
-    probe-failure reason (import error, missing OS facility, ...)."""
-    status: dict[str, str | None] = {}
-    for name in EXECUTORS:
-        try:
-            _PROBES[name]()
-            status[name] = None
-        except Exception as exc:  # noqa: BLE001 - reason is the product
-            status[name] = f"{type(exc).__name__}: {exc}"
-    return status
-
-
-def _executor_catalogue() -> str:
-    status = executor_availability()
-    ok = [n for n in EXECUTORS if status[n] is None]
-    msg = f"available: {', '.join(ok)}"
-    broken = [(n, status[n]) for n in EXECUTORS if status[n] is not None]
-    if broken:
-        msg += "; unavailable: " + "; ".join(
-            f"{n} ({reason})" for n, reason in broken)
-    return msg
-
-
 def unknown_executor_message(name: object) -> str:
-    """The error text for an unrecognised backend name: the registered
-    names plus, for every optional backend that failed its probe, why."""
-    return f"unknown executor {name!r}; {_executor_catalogue()}"
+    """The error text for an unrecognised backend name."""
+    return f"unknown executor {name!r}; available: {', '.join(EXECUTORS)}"
 
 
 def default_executor_name() -> str:
@@ -196,15 +81,24 @@ def default_executor_name() -> str:
     return name
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    exposes one, else the machine's CPU count; at least 1)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return max(1, os.cpu_count() or 1)
+
+
 def default_workers() -> int:
     """Worker count when none is requested: ``$REPRO_WORKERS`` or the
-    CPU count (at least 1)."""
+    usable CPU count."""
     env = os.environ.get("REPRO_WORKERS", "").strip()
     if env:
         workers = int(env)
         require(workers >= 1, f"REPRO_WORKERS must be >= 1, got {env!r}")
         return workers
-    return max(1, os.cpu_count() or 1)
+    return usable_cpu_count()
 
 
 class StepExecutor:
@@ -216,19 +110,6 @@ class StepExecutor:
     partition depends only on ``(n_items, workers)``, never on timing.
     Exceptions are collected and the lowest-chunk one re-raised after
     all chunks settle, so a failure is deterministic too.
-
-    ``run_shared(n_items, task, arrays, **payload)`` is the
-    location-transparent variant the kernels dispatch through: ``task``
-    must be a module-level function called as
-    ``task(arrays, lo, hi, **payload)``.  In-process backends call it
-    directly on the caller's arrays; the process backend ships segment
-    specs instead of array bytes (see the module docstring).  The
-    payload must be small and picklable — indices, scalars, a compute
-    backend — never a matrix.
-
-    :meth:`adopt` / :meth:`scratch` / :meth:`reclaim` manage the shared
-    arena; on in-process backends they are identity / ``np.empty`` /
-    identity, so kernel and driver code is written once.
     """
 
     name: str = "abstract"
@@ -241,32 +122,6 @@ class StepExecutor:
     def run_chunks(self, n_items: int,
                    fn: Callable[[int, int], T]) -> list[T]:
         raise NotImplementedError
-
-    def run_shared(self, n_items: int, task: Callable[..., T],
-                   arrays: dict[str, np.ndarray],
-                   **payload: Any) -> list[T]:
-        """Run ``task(arrays, lo, hi, **payload)`` over the chunk bounds."""
-        return self.run_chunks(
-            n_items, lambda lo, hi: task(arrays, lo, hi, **payload))
-
-    def adopt(self, key: str, array: np.ndarray) -> np.ndarray:
-        """Move a run-lifetime array into the executor's shared arena
-        (identity for in-process backends)."""
-        return array
-
-    def scratch(self, key: str, shape: tuple[int, ...],
-                dtype: "np.dtype | type" = np.float64) -> np.ndarray:
-        """A step-lifetime work array reachable by every worker
-        (plain ``np.empty`` for in-process backends).  Contents are
-        undefined until written; the buffer may be reused across calls
-        with the same ``key``."""
-        return np.empty(shape, dtype=dtype)
-
-    def reclaim(self, array: np.ndarray) -> np.ndarray:
-        """Copy an adopted array back to private memory (identity for
-        in-process backends).  Call before :meth:`close`: the arena's
-        buffers die with it."""
-        return array
 
     def _note_dispatch(self, n_items: int,
                        bounds: list[tuple[int, int]]) -> None:
@@ -377,285 +232,6 @@ class ThreadStepExecutor(StepExecutor):
             self._pool = None
 
 
-# ------------------------------------------------ process pool plumbing
-
-def _start_method() -> str:
-    import multiprocessing as mp
-
-    env = os.environ.get("REPRO_MP_START", "").strip()
-    methods = mp.get_all_start_methods()
-    if env:
-        require(env in methods,
-                f"REPRO_MP_START={env!r} is not one of {', '.join(methods)}")
-        return env
-    if "forkserver" in methods and sys.platform != "win32":
-        return "forkserver"
-    return "spawn"
-
-
-#: persistent pools keyed by (start method, workers), shared by every
-#: ProcessStepExecutor so worker startup amortises across runs
-_POOLS: dict[tuple[str, int], ProcessPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _worker_init() -> None:
-    """Worker-process initializer: attached segments must not be tracked.
-
-    The parent owns every segment it creates (and unlinks it in
-    ``close``); on Python < 3.13 merely *attaching* a ``SharedMemory``
-    also registers it with the resource tracker, so a worker would
-    either double-unlink at exit (spawn: its own tracker) or cancel the
-    parent's registration (fork/forkserver: the inherited tracker).
-    Disabling shared-memory registration in workers sidesteps both.
-    """
-    from multiprocessing import resource_tracker
-
-    orig_register = resource_tracker.register
-
-    def register(name: str, rtype: str) -> None:
-        if rtype == "shared_memory":
-            return
-        orig_register(name, rtype)
-
-    resource_tracker.register = register  # type: ignore[assignment]
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    import multiprocessing as mp
-
-    method = _start_method()
-    key = (method, workers)
-    with _POOLS_LOCK:
-        pool = _POOLS.get(key)
-        if pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp.get_context(method),
-                initializer=_worker_init)
-            _POOLS[key] = pool
-        return pool
-
-
-def _discard_pool(workers: int) -> None:
-    key = (_start_method(), workers)
-    with _POOLS_LOCK:
-        pool = _POOLS.pop(key, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_process_pools() -> None:
-    """Tear down every cached worker pool (also runs at interpreter
-    exit).  Safe to call at any time; the next dispatch re-creates."""
-    with _POOLS_LOCK:
-        pools = list(_POOLS.values())
-        _POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(shutdown_process_pools)
-
-
-#: worker-side segment cache: attach once per (process, segment)
-_ATTACHED: dict[str, Any] = {}
-
-
-def _attach_segment(seg_name: str):
-    seg = _ATTACHED.get(seg_name)
-    if seg is None:
-        from multiprocessing import shared_memory
-
-        # registration with the resource tracker is disabled for workers
-        # (see _worker_init); the parent owns and unlinks the segment
-        seg = shared_memory.SharedMemory(name=seg_name)
-        _ATTACHED[seg_name] = seg
-    return seg
-
-
-def _open_view(spec: tuple[str, tuple[int, ...], str, int]) -> np.ndarray:
-    seg_name, shape, dtype, offset = spec
-    nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-    buf = _attach_segment(seg_name).buf[offset:offset + nbytes]
-    return np.ndarray(shape, dtype=dtype, buffer=buf)
-
-
-def _run_shared_task(task, specs, lo, hi, payload):
-    """Worker entry point of :meth:`ProcessStepExecutor.run_shared`."""
-    arrays = {key: _open_view(spec) for key, spec in specs.items()}
-    return task(arrays, lo, hi, **payload)
-
-
-class ProcessStepExecutor(StepExecutor):
-    """Chunks dispatched to worker processes over shared-memory views.
-
-    See the module docstring for the shared-memory protocol and the
-    pool lifecycle.  ``run_chunks`` works too, but only for
-    *module-level* ``fn`` (closures do not pickle) whose writes target
-    arena-backed arrays — ``run_shared`` is the intended seam.
-    """
-
-    name = "processes"
-
-    def __init__(self, workers: int | None = None):
-        workers = default_workers() if workers is None else int(workers)
-        require(workers >= 1, f"workers must be >= 1, got {workers!r}")
-        self.workers = workers
-        # arena: key -> (segment, capacity bytes); views: key -> array
-        self._arena: dict[str, tuple[Any, int]] = {}
-        self._views: dict[str, np.ndarray] = {}
-
-    # ------------------------------------------------------- the arena
-
-    def _allocate(self, key: str, nbytes: int):
-        from multiprocessing import shared_memory
-
-        held = self._arena.get(key)
-        if held is not None and held[1] >= nbytes:
-            return held[0]
-        if held is not None:
-            held[0].close()
-            held[0].unlink()
-            self._views.pop(key, None)
-        # grow geometrically so a sequence of slightly larger scratch
-        # requests does not reallocate every step
-        cap = max(nbytes, 2 * held[1] if held is not None else nbytes, 1)
-        seg = shared_memory.SharedMemory(
-            create=True, size=cap,
-            name=f"repro-{os.getpid()}-{secrets.token_hex(4)}")
-        self._arena[key] = (seg, cap)
-        return seg
-
-    def _view(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        seg = self._allocate(key, nbytes)
-        view = self._views.get(key)
-        if view is None or view.shape != tuple(shape) or view.dtype != dtype:
-            view = np.ndarray(shape, dtype=dtype, buffer=seg.buf[:nbytes])
-            self._views[key] = view
-        return view
-
-    def adopt(self, key: str, array: np.ndarray) -> np.ndarray:
-        array = np.ascontiguousarray(array)
-        view = self._view(key, array.shape, array.dtype)
-        if view is not array:
-            view[...] = array
-        return view
-
-    def scratch(self, key: str, shape: tuple[int, ...],
-                dtype: "np.dtype | type" = np.float64) -> np.ndarray:
-        return self._view(key, tuple(shape), dtype)
-
-    def reclaim(self, array: np.ndarray) -> np.ndarray:
-        if self._locate(array) is not None:
-            return np.array(array, copy=True)
-        return array
-
-    def _locate(self, array: np.ndarray) -> tuple[str, int] | None:
-        """``(arena key, byte offset)`` of the segment backing a
-        C-contiguous ``array``, or ``None`` when it is not arena memory."""
-        if (not isinstance(array, np.ndarray) or array.size == 0
-                or not array.flags.c_contiguous):
-            return None
-        addr = array.__array_interface__["data"][0]
-        end = addr + array.nbytes
-        for key, (seg, cap) in self._arena.items():
-            base = np.frombuffer(seg.buf, dtype=np.uint8)
-            start = base.__array_interface__["data"][0]
-            if start <= addr and end <= start + cap:
-                return key, addr - start
-        return None
-
-    # ---------------------------------------------------- dispatching
-
-    def _collect(self, futures: list) -> list:
-        results: list = []
-        error: BaseException | None = None
-        for fut in futures:  # chunk order, not completion order
-            try:
-                results.append(fut.result())
-            except BrokenProcessPool as exc:
-                _discard_pool(self.workers)
-                raise WorkerCrashError(
-                    "a worker process died mid-step (shared buffers may "
-                    "hold a partial write); the pool has been replaced — "
-                    "retry the step or roll back to the last checkpoint"
-                ) from exc
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        return results
-
-    def run_shared(self, n_items: int, task: Callable[..., T],
-                   arrays: dict[str, np.ndarray],
-                   **payload: Any) -> list[T]:
-        if n_items <= 0:
-            return []
-        bounds = self.chunk_bounds(n_items, self.workers)
-        self._note_dispatch(n_items, bounds)
-        if len(bounds) == 1:
-            # one chunk is the whole stage: run in the parent (same
-            # arithmetic, and it works on arrays that were never adopted)
-            return [task(arrays, 0, n_items, **payload)]
-        # slow-path safety net: round-trip non-arena arrays through
-        # temporary segments (drivers normally adopt up front)
-        borrowed: list[tuple[str, np.ndarray]] = []
-        specs = {}
-        shared: dict[str, np.ndarray] = {}
-        for key, arr in arrays.items():
-            where = self._locate(arr)
-            if where is None:
-                arr2 = self.adopt(f"__borrow_{key}", arr)
-                borrowed.append((key, arr))
-                where = self._locate(arr2)
-                assert where is not None
-                arr = arr2
-            shared[key] = arr
-            seg, _ = self._arena[where[0]]
-            specs[key] = (seg.name, arr.shape, arr.dtype.str, where[1])
-        pool = _get_pool(self.workers)
-        futures = [pool.submit(_run_shared_task, task, specs, lo, hi, payload)
-                   for lo, hi in bounds]
-        try:
-            return self._collect(futures)
-        finally:
-            for key, original in borrowed:
-                original[...] = shared[key]
-                self._release(f"__borrow_{key}")
-
-    def run_chunks(self, n_items: int,
-                   fn: Callable[[int, int], T]) -> list[T]:
-        if n_items <= 0:
-            return []
-        bounds = self.chunk_bounds(n_items, self.workers)
-        self._note_dispatch(n_items, bounds)
-        if len(bounds) == 1:
-            return [fn(0, n_items)]
-        pool = _get_pool(self.workers)
-        return self._collect([pool.submit(fn, lo, hi) for lo, hi in bounds])
-
-    # -------------------------------------------------------- teardown
-
-    def _release(self, key: str) -> None:
-        held = self._arena.pop(key, None)
-        self._views.pop(key, None)
-        if held is not None:
-            held[0].close()
-            held[0].unlink()
-
-    def close(self) -> None:
-        """Free the shared arena (worker pools stay cached for reuse).
-
-        Any views still held by the caller become invalid — drivers
-        :meth:`reclaim` their results first.
-        """
-        for key in list(self._arena):
-            self._release(key)
-
-
 def resolve_executor(
     executor: "str | StepExecutor | None" = None,
     workers: int | None = None,
@@ -667,10 +243,7 @@ def resolve_executor(
     then be ``None``), or ``None`` for the environment default.  The
     caller owns the result and should :meth:`~StepExecutor.close` it.
 
-    Unknown names report the full catalogue — including optional
-    backends that exist but failed their availability probe, and why —
-    and naming a registered-but-unavailable backend reports the probe
-    failure instead of a generic message.
+    Unknown names raise ``ValueError`` listing the registered backends.
     """
     if isinstance(executor, StepExecutor):
         require(workers is None,
@@ -680,12 +253,6 @@ def resolve_executor(
     require(name in EXECUTORS, unknown_executor_message(name))
     if workers is not None:
         require(workers >= 1, f"workers must be >= 1, got {workers!r}")
-    reason = executor_availability()[name]
-    require(reason is None,
-            f"executor {name!r} is registered but unavailable on this "
-            f"host: {reason}")
     if name == "serial":
         return SerialExecutor()
-    if name == "threads":
-        return ThreadStepExecutor(workers)
-    return ProcessStepExecutor(workers)
+    return ThreadStepExecutor(workers)

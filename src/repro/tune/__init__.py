@@ -1,14 +1,13 @@
 """Empirical configuration autotuner (``repro-harness tune``).
 
-With three kernels, seven orderings, three executors, pluggable compute
-backends and free block sizes, the fastest configuration for a given
+With three kernels, seven orderings, two executors and free block
+sizes, the fastest configuration for a given
 ``(m, n, batch)`` is an empirical question — the tiled/blocked Jacobi
 literature (PAPERS.md) answers it with exactly this kind of parameter
 search.  The subsystem has three layers:
 
 :mod:`~repro.tune.space`
-    The candidate enumeration, pruned by this host's backend probe
-    catalogue (unavailable executors/backends are skipped, not errors).
+    The structured candidate enumeration for one target shape.
 :mod:`~repro.tune.runner`
     Successive-halving elimination over the candidates with the bench
     harness' median-of-k timing; deterministic given a timer, which is
@@ -23,8 +22,7 @@ from .profile import (SCHEMA, default_host, load_profile, lookup_entry,
                       profile_entry, profile_options, profile_path,
                       save_profile, validate_profile)
 from .runner import Trial, TuneResult, default_timer, tune
-from .space import (Candidate, DEFAULT_CANDIDATE, backend_catalogue,
-                    candidate_space)
+from .space import Candidate, DEFAULT_CANDIDATE, candidate_space
 
 __all__ = [
     "Candidate",
@@ -32,7 +30,6 @@ __all__ = [
     "SCHEMA",
     "Trial",
     "TuneResult",
-    "backend_catalogue",
     "candidate_space",
     "default_host",
     "default_timer",

@@ -43,11 +43,10 @@ __all__ = [
 ]
 
 #: profile schema tag; bump on any change of meaning, not just of shape
-SCHEMA = "repro.tune/1"
+SCHEMA = "repro.tune/2"
 
-#: the six knobs a profile entry may fill (the knobs of ``svd()``)
-_OPTION_KEYS = ("ordering", "kernel", "block_size", "executor", "workers",
-                "compute_backend")
+#: the five knobs a profile entry may fill (the knobs of ``svd()``)
+_OPTION_KEYS = ("ordering", "kernel", "block_size", "executor", "workers")
 
 
 def default_host() -> str:
@@ -184,7 +183,7 @@ def lookup_entry(profile: "Mapping | str | Path", m: int, n: int,
 
 def profile_options(profile: "Mapping | str | Path", m: int, n: int,
                     batch: int | None = None) -> dict:
-    """The six option knobs of the nearest entry (empty dict if none).
+    """The five option knobs of the nearest entry (empty dict if none).
 
     The result always carries every key of ``svd()``'s knob set with
     explicit ``None`` for unset ones — callers fill, they never guess.
@@ -199,6 +198,5 @@ def profile_options(profile: "Mapping | str | Path", m: int, n: int,
     Candidate(kernel=options["kernel"] or "reference",
               block_size=options["block_size"],
               ordering=options["ordering"] or "fat_tree",
-              executor=options["executor"], workers=options["workers"],
-              compute_backend=options["compute_backend"])
+              executor=options["executor"], workers=options["workers"])
     return options

@@ -29,8 +29,7 @@ import numpy as np
 from ..bench.timing import time_callable
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
-from .space import Candidate, DEFAULT_CANDIDATE, backend_catalogue, \
-    candidate_space
+from .space import Candidate, DEFAULT_CANDIDATE, candidate_space
 
 __all__ = ["Trial", "TuneResult", "default_timer", "tune"]
 
@@ -117,7 +116,6 @@ def tune(m: int, n: int, batch: int | None = None, *,
          timer: Callable[[Candidate, int, int, int | None, int], float]
          | None = None,
          repeats_schedule: Sequence[int] | None = None,
-         catalogue: dict | None = None,
          log: Callable[[str], None] | None = None) -> TuneResult:
     """Search the candidate space for the fastest configuration.
 
@@ -128,7 +126,7 @@ def tune(m: int, n: int, batch: int | None = None, *,
     :func:`default_timer`; tests inject a deterministic fake.
     """
     pool = tuple(candidates) if candidates is not None else \
-        candidate_space(m, n, batch, quick=quick, catalogue=catalogue)
+        candidate_space(m, n, batch, quick=quick)
     require(len(pool) >= 1, "tune needs at least one candidate")
     schedule = tuple(repeats_schedule) if repeats_schedule is not None else \
         (REPEATS_SCHEDULE_QUICK if quick else REPEATS_SCHEDULE)
@@ -172,7 +170,6 @@ def tune(m: int, n: int, batch: int | None = None, *,
             f"{default_median_s * 1e3:.2f} ms ({schedule[-1]}x)")
     say(f"winner: {winner.label()} "
         f"({default_median_s / max(winner_median_s, 1e-12):.2f}x vs default)")
-    _ = backend_catalogue  # re-exported convenience; space already filtered
     return TuneResult(
         m=m, n=n, batch=batch, winner=winner,
         winner_median_s=winner_median_s,

@@ -1,23 +1,18 @@
 """Candidate space of the configuration autotuner.
 
 A :class:`Candidate` is one complete, runnable configuration of the
-public SVD entry points — the same six knobs ``svd`` / ``svd_batch``
-expose (ordering, kernel, block size, step executor, workers, compute
-backend).  :func:`candidate_space` enumerates the admissible candidates
-for a target shape, pruned by what this host can actually run: the
-probe catalogues of :mod:`repro.parallel.executor` and
-:mod:`repro.kernels` (surfaced as :func:`backend_catalogue`, the same
-data ``repro-harness backends`` prints), so the tuner skips a missing
-``processes`` backend or an unprobeable ``numba`` instead of failing on
-it mid-search.
+public SVD entry points — the same five knobs ``svd`` / ``svd_batch``
+expose (ordering, kernel, block size, step executor, workers).
+:func:`candidate_space` enumerates the admissible candidates for a
+target shape.
 
 The space is deliberately small and structured rather than a grid: the
 block-Jacobi literature (Faverge et al., Novaković — see PAPERS.md)
-shows performance is decided by block size × ordering × backend, so we
-take the divisor block sizes that keep at least 8 schedule slots, the
-two strongest ordering families (the paper's fat-tree ordering and the
-new ring ordering), and one backend/executor variant per distinct axis
-instead of the full cross product.  The default configuration is always
+shows performance is decided by block size × ordering, so we take the
+divisor block sizes that keep at least 8 schedule slots, the two
+strongest ordering families (the paper's fat-tree ordering and the new
+ring ordering), and one threaded-executor variant instead of the full
+cross product.  The default configuration is always
 candidate 0 so every tune run prices the thing it is trying to beat.
 """
 
@@ -25,15 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kernels import compute_backend_status
-from ..parallel.executor import executor_availability
 from ..util.bits import is_power_of_two
 from ..util.validation import require
 
 __all__ = [
     "Candidate",
     "DEFAULT_CANDIDATE",
-    "backend_catalogue",
     "candidate_space",
 ]
 
@@ -43,9 +35,8 @@ class Candidate:
     """One complete tuner configuration (the knobs of :func:`repro.svd`).
 
     ``block_size is None`` means scalar mode, where the executor /
-    worker / compute-backend knobs must stay unset (`svd` rejects them
-    without a block size — the scalar kernels have no independent pair
-    subproblems and no GEMM phase).
+    worker knobs must stay unset (`svd` rejects them without a block
+    size — the scalar kernels have no independent pair subproblems).
     """
 
     kernel: str = "reference"
@@ -53,14 +44,12 @@ class Candidate:
     ordering: str = "fat_tree"
     executor: str | None = None
     workers: int | None = None
-    compute_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.block_size is None:
-            require(self.executor is None and self.workers is None
-                    and self.compute_backend is None,
-                    "scalar candidates cannot carry executor/workers/"
-                    f"compute_backend: {self!r}")
+            require(self.executor is None and self.workers is None,
+                    f"scalar candidates cannot carry executor/workers: "
+                    f"{self!r}")
 
     def label(self) -> str:
         """Compact display name, e.g. ``gram-b16/ring_new/threads2``."""
@@ -69,22 +58,20 @@ class Candidate:
         if self.executor is not None:
             w = "" if self.workers is None else str(self.workers)
             parts.append(f"{self.executor}{w}")
-        if self.compute_backend is not None:
-            parts.append(self.compute_backend)
         return "/".join(parts)
 
     def call_kwargs(self) -> dict:
         """Keyword arguments for :func:`repro.svd` / :func:`repro.svd_batch`
         (only the knobs this candidate actually sets)."""
         kw: dict = {"ordering": self.ordering, "kernel": self.kernel}
-        for name in ("block_size", "executor", "workers", "compute_backend"):
+        for name in ("block_size", "executor", "workers"):
             value = getattr(self, name)
             if value is not None:
                 kw[name] = value
         return kw
 
     def options_dict(self) -> dict:
-        """JSON form persisted in tuned profiles (all six knobs, explicit
+        """JSON form persisted in tuned profiles (all five knobs, explicit
         ``None`` for the unset ones so a profile is self-describing)."""
         return {
             "ordering": self.ordering,
@@ -92,27 +79,12 @@ class Candidate:
             "block_size": self.block_size,
             "executor": self.executor,
             "workers": self.workers,
-            "compute_backend": self.compute_backend,
         }
 
 
 #: what ``svd()`` does when asked for nothing: scalar reference kernel
 #: under the paper's fat-tree ordering
 DEFAULT_CANDIDATE = Candidate()
-
-
-def backend_catalogue() -> dict:
-    """Probe status of every optional backend on this host.
-
-    ``{"executors": {name: None | reason}, "compute_backends": ...}`` —
-    ``None`` means usable, a string is the captured probe failure.  This
-    is the JSON ``repro-harness backends`` emits and the availability
-    filter :func:`candidate_space` consumes.
-    """
-    return {
-        "executors": executor_availability(),
-        "compute_backends": compute_backend_status(),
-    }
 
 
 def _block_sizes(n: int, pow2_blocks: bool) -> list[int]:
@@ -132,8 +104,7 @@ def _block_sizes(n: int, pow2_blocks: bool) -> list[int]:
 
 
 def candidate_space(m: int, n: int, batch: int | None = None, *,
-                    quick: bool = False,
-                    catalogue: dict | None = None) -> tuple[Candidate, ...]:
+                    quick: bool = False) -> tuple[Candidate, ...]:
     """Admissible candidates for one target shape, default first.
 
     The structure (not a grid):
@@ -145,20 +116,13 @@ def candidate_space(m: int, n: int, batch: int | None = None, *,
     * the BLAS-3 ``gram`` kernel at every admissible divisor block size
       (>= 8 slots), fat-tree ordering when the block count is a power of
       two, ring ordering otherwise, plus one block-``batched`` variant;
-    * one threads / processes variant of the best-blocked gram candidate
-      per *available* executor (``workers=2``, the determinism-safe
-      floor) — unavailable executors are skipped, not errors;
-    * one variant per available non-numpy compute backend.
+    * one threads variant of the best-blocked gram candidate
+      (``workers=2``, the determinism-safe floor).
 
     ``quick=True`` keeps only one candidate per axis (default, scalar
     batched, serial gram, threaded gram) — the CI smoke space.
     """
     require(m >= n >= 2, f"need m >= n >= 2, got m={m}, n={n}")
-    cat = backend_catalogue() if catalogue is None else catalogue
-    exec_ok = [name for name, reason in cat["executors"].items()
-               if reason is None and name != "serial"]
-    backend_ok = [name for name, reason in cat["compute_backends"].items()
-                  if reason is None and name != "numpy"]
 
     out: list[Candidate] = [DEFAULT_CANDIDATE]
 
@@ -177,10 +141,9 @@ def candidate_space(m: int, n: int, batch: int | None = None, *,
         if best_b is not None:
             add(Candidate(kernel="gram", block_size=best_b,
                           ordering=block_ordering(best_b)))
-            if "threads" in exec_ok:
-                add(Candidate(kernel="gram", block_size=best_b,
-                              ordering=block_ordering(best_b),
-                              executor="threads", workers=2))
+            add(Candidate(kernel="gram", block_size=best_b,
+                          ordering=block_ordering(best_b),
+                          executor="threads", workers=2))
         return tuple(out)
 
     for ordering in ("fat_tree", "ring_new"):
@@ -193,13 +156,8 @@ def candidate_space(m: int, n: int, batch: int | None = None, *,
     if best_b is not None:
         add(Candidate(kernel="batched", block_size=best_b,
                       ordering=block_ordering(best_b)))
-        for executor in exec_ok:
-            add(Candidate(kernel="gram", block_size=best_b,
-                          ordering=block_ordering(best_b),
-                          executor=executor, workers=2))
-        for backend in backend_ok:
-            add(Candidate(kernel="gram", block_size=best_b,
-                          ordering=block_ordering(best_b),
-                          compute_backend=backend))
+        add(Candidate(kernel="gram", block_size=best_b,
+                      ordering=block_ordering(best_b),
+                      executor="threads", workers=2))
     _ = batch  # the space is shape-driven; batch only changes the timer
     return tuple(out)

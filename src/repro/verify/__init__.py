@@ -21,8 +21,8 @@ detector or sanitizer gates a parallel runtime:
 * :mod:`repro.verify.linter` — orchestration over schedules, orderings
   and the whole registry (the ``repro-harness lint`` gate);
 * :mod:`repro.verify.executor_plan` — static race/determinism analysis
-  of executor chunkings, including the process executor's shared-memory
-  projection (``EXEC001``-``EXEC005``);
+  of executor chunkings and the simulator fast path's write-sets
+  (``EXEC001``-``EXEC004``, ``EXEC006``);
 * :mod:`repro.verify.plancheck` — compiled-plan re-elaboration and
   plan-cache integrity (``PLAN001``-``PLAN003``);
 * :mod:`repro.verify.faultcheck` — fault-tolerance totality: every
@@ -61,7 +61,6 @@ from .corrupt import (
     drop_exchange,
     duplicate_pair,
     overlap_chunk_writes,
-    overlap_shared_ranges,
     overload_link,
     poison_factor,
     reverse_ring_step,
@@ -84,14 +83,10 @@ from .direction import (
 )
 from .executor_plan import (
     SKEW_THRESHOLD,
-    SharedStagePlan,
     StagePlan,
     check_executor_plan,
     check_fastpath_projection,
-    check_shared_memory_plan,
-    check_shared_plan,
     check_stage_plan,
-    derive_shared_plan,
     derive_step_chunking,
 )
 from .faultcheck import (
@@ -125,7 +120,6 @@ __all__ = [
     "RuntimeSanitizer",
     "SKEW_THRESHOLD",
     "SanitizerError",
-    "SharedStagePlan",
     "StagePlan",
     "analyze_ordering",
     "analyze_registry",
@@ -138,8 +132,6 @@ __all__ = [
     "check_executor_plan",
     "check_fastpath_projection",
     "check_fallback_chains",
-    "check_shared_memory_plan",
-    "check_shared_plan",
     "check_host_map",
     "check_numeric_canaries",
     "check_ordering_restoration",
@@ -153,7 +145,6 @@ __all__ = [
     "check_write_record",
     "crosscheck_dynamic",
     "dead_host_map",
-    "derive_shared_plan",
     "derive_step_chunking",
     "drift_factor",
     "drop_exchange",
@@ -163,7 +154,6 @@ __all__ = [
     "lint_registry",
     "lint_schedule",
     "overlap_chunk_writes",
-    "overlap_shared_ranges",
     "overload_link",
     "permutation_order",
     "poison_factor",

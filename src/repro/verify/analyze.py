@@ -10,9 +10,7 @@ sound for those schedules.  For every registered ordering x size it
   plan cache (:mod:`repro.verify.plancheck`, ``PLAN001``-``PLAN003``);
 * derives the executor's chunking for every kernel x worker-count
   configuration and proves it race-free and merge-deterministic
-  (:mod:`repro.verify.executor_plan`, ``EXEC001``-``EXEC004``), then
-  projects the same chunking into the process executor's shared-memory
-  arena and proves the chunks' address ranges disjoint (``EXEC005``);
+  (:mod:`repro.verify.executor_plan`, ``EXEC001``-``EXEC004``);
 * projects the simulator fast path's per-step write-sets and proves
   each stacked scatter hazard-free, trajectory-consistent and the
   sweep permutation a bijection (``EXEC006``);
@@ -36,8 +34,7 @@ from ..orderings.base import Ordering
 from ..orderings.registry import ORDERINGS, make_ordering
 from ..orderings.schedule import Schedule
 from .diagnostics import Report
-from .executor_plan import (check_executor_plan, check_fastpath_projection,
-                            check_shared_memory_plan)
+from .executor_plan import check_executor_plan, check_fastpath_projection
 from .faultcheck import check_degraded_totality, check_fallback_chains
 from .linter import DEFAULT_SIZES, MAX_RESTORATION_PERIOD
 from .plancheck import check_plan_cache, check_plan_integrity
@@ -75,9 +72,6 @@ def analyze_schedule(
             report.extend(
                 check_executor_plan(schedule, kernel=kernel, workers=w),
                 f"exec-plan[{kernel},w={w}]")
-            report.extend(
-                check_shared_memory_plan(schedule, kernel=kernel, workers=w),
-                f"exec-shm[{kernel},w={w}]")
     if topology is not None:
         report.extend(check_degraded_totality(schedule, topology),
                       "ft-degraded")

@@ -16,7 +16,6 @@ operator                    rule the verifier must fire
 :func:`split_unsplittable_stage` ``EXEC002`` (coupled stage split)
 :func:`shuffle_chunk_bounds`     ``EXEC003`` (merge order broken)
 :func:`skew_chunk_bounds`        ``EXEC004`` (load skew)
-:func:`overlap_shared_ranges`    ``EXEC005`` (shared-memory ranges overlap)
 :func:`tamper_fastpath_rows`     ``EXEC006`` (fast-path scatter row duplicated)
 :func:`tamper_plan_pairs`        ``PLAN001`` (lowered arrays corrupted)
 :func:`tamper_final_layout`      ``PLAN002`` (trajectory corrupted)
@@ -57,7 +56,7 @@ from ..orderings.plan import (PLAN_MEMO_ATTR, CompiledSchedule, FastPathPlan,
                               lower_schedule)
 from ..orderings.schedule import Move, Schedule, Step
 from ..util.validation import require
-from .executor_plan import SharedStagePlan, StagePlan
+from .executor_plan import StagePlan
 
 __all__ = [
     "unchecked_step",
@@ -70,7 +69,6 @@ __all__ = [
     "split_unsplittable_stage",
     "shuffle_chunk_bounds",
     "skew_chunk_bounds",
-    "overlap_shared_ranges",
     "tamper_plan_pairs",
     "tamper_fastpath_rows",
     "tamper_final_layout",
@@ -241,22 +239,6 @@ def skew_chunk_bounds(plan: StagePlan) -> StagePlan:
     sets = [union] + [frozenset()] * (k - 1)
     return dataclasses.replace(plan, bounds=tuple(bounds),
                                write_sets=tuple(sets))
-
-
-def overlap_shared_ranges(plan: SharedStagePlan) -> SharedStagePlan:
-    """Leak chunk 0's first shared-memory interval into chunk 1's ranges.
-
-    The bounds and every slot-level write-set stay untouched, so the
-    address-space disjointness proof (``EXEC005``) is the only one that
-    can object — ``EXEC001`` works on slots, not arena intervals, and
-    never sees this object.
-    """
-    require(plan.n_chunks >= 2, "need at least two chunks to overlap")
-    require(bool(plan.ranges[0]), "chunk 0 writes no shared range to leak")
-    leaked = plan.ranges[0][0]
-    ranges = list(plan.ranges)
-    ranges[1] = tuple(sorted({*ranges[1], leaked}))
-    return dataclasses.replace(plan, ranges=tuple(ranges))
 
 
 def tamper_plan_pairs(schedule: Schedule) -> CompiledSchedule:

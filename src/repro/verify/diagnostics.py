@@ -56,9 +56,6 @@ RULES: dict[str, tuple[str, str]] = {
                          "step's work items (serial-merge order not deterministic)"),
     "EXEC004": ("warning", "executor chunking skews load: the largest chunk holds at "
                            "least twice the ideal per-chunk share"),
-    "EXEC005": ("error", "process chunking unsound for shared memory: two chunks map "
-                         "to overlapping shared-memory ranges, or the batch-coupled "
-                         "inner Gram solve is split across processes"),
     "EXEC006": ("error", "fast-path write-set projection unsound: a step's stacked "
                          "scatter writes a content row twice, the content pairs "
                          "disagree with the event path's trajectory replay, or the "

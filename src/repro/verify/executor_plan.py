@@ -43,14 +43,10 @@ from .diagnostics import Diagnostic
 
 __all__ = [
     "SKEW_THRESHOLD",
-    "SharedStagePlan",
     "StagePlan",
     "check_executor_plan",
     "check_fastpath_projection",
-    "check_shared_memory_plan",
-    "check_shared_plan",
     "check_stage_plan",
-    "derive_shared_plan",
     "derive_step_chunking",
 ]
 
@@ -145,141 +141,6 @@ def derive_step_chunking(step: CompiledStep, kernel: str,
             n_items=nb, bounds=bounds, write_sets=write_sets,
         ))
     return plans
-
-
-@dataclass(frozen=True)
-class SharedStagePlan:
-    """Shared-memory projection of one :class:`StagePlan`: what each
-    *process* chunk would write in the executor's arena.
-
-    The processes backend dispatches bounds against named shared-memory
-    arrays (:mod:`repro.parallel.executor`), so its soundness claim is
-    about address ranges, not slot sets: every chunk's writes must land
-    in arena intervals no other chunk of the stage touches, and a stage
-    whose arithmetic couples the whole batch must never be split at all
-    (a process cannot see its siblings' partial writes mid-stage the way
-    same-address-space threads sometimes may).  ``ranges[i]`` is chunk
-    ``i``'s write footprint as half-open ``(array_key, lo, hi)``
-    intervals — column intervals of the adopted factor arrays (disjoint
-    column sets are disjoint strided byte sets) and item-slice intervals
-    of the per-step scratch stacks.  Rule ``EXEC005`` proves both facts
-    from this object alone; :func:`~repro.verify.corrupt`'s
-    ``overlap_shared_ranges`` perturbs it to prove the rule fires.
-    """
-
-    #: stage name from :data:`~repro.blockjacobi.kernel.KERNEL_STAGES`
-    stage: str
-    #: False for stages whose arithmetic couples the whole batch
-    splittable: bool
-    #: number of independent work items (the step's pair count)
-    n_items: int
-    #: ``(lo, hi)`` chunk bounds the executor would dispatch
-    bounds: tuple[tuple[int, int], ...]
-    #: per-chunk shared-memory write intervals, aligned with ``bounds``
-    ranges: tuple[tuple[tuple[str, int, int], ...], ...]
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.bounds)
-
-
-def _merge_intervals(intervals: list[tuple[str, int, int]]
-                     ) -> tuple[tuple[str, int, int], ...]:
-    """Coalesce per-key half-open intervals (sorted, adjacent fused)."""
-    out: list[tuple[str, int, int]] = []
-    for key, lo, hi in sorted(intervals):
-        if out and out[-1][0] == key and out[-1][2] >= lo:
-            prev = out.pop()
-            out.append((key, prev[1], max(prev[2], hi)))
-        else:
-            out.append((key, lo, hi))
-    return tuple(out)
-
-
-def derive_shared_plan(step: CompiledStep, kernel: str, workers: int,
-                       block_size: int = 1,
-                       compute_v: bool = True) -> list[SharedStagePlan]:
-    """Project the executor's chunking of one step into shared memory.
-
-    Slot-space stages (pair-solve, gram-apply) scatter into the block
-    columns of the adopted ``X``/``V`` arrays: slot ``s`` owns columns
-    ``[s*b, (s+1)*b)``.  Batch-space stages write per-item slices of the
-    per-step scratch stacks (``Ys``/``G``), which the processes backend
-    also places in the arena.  Bounds come from the same
-    :meth:`~repro.parallel.executor.StepExecutor.chunk_bounds`
-    arithmetic as the dispatch.
-    """
-    b = block_size
-    plans: list[SharedStagePlan] = []
-    for sp in derive_step_chunking(step, kernel, workers):
-        ranges: list[tuple[tuple[str, int, int], ...]] = []
-        for (lo, hi), wset in zip(sp.bounds, sp.write_sets):
-            if sp.space == "slots":
-                cols = [("X", s * b, (s + 1) * b) for s in wset]
-                if compute_v:
-                    cols += [("V", s * b, (s + 1) * b) for s in wset]
-                ranges.append(_merge_intervals(cols))
-            else:
-                key = "G" if sp.stage == "gram-solve" else "Ys"
-                ranges.append(_merge_intervals([(key, lo, hi)]))
-        plans.append(SharedStagePlan(
-            stage=sp.stage, splittable=sp.splittable, n_items=sp.n_items,
-            bounds=sp.bounds, ranges=tuple(ranges),
-        ))
-    return plans
-
-
-def check_shared_plan(plan: SharedStagePlan,
-                      step_no: int | None = None) -> list[Diagnostic]:
-    """Prove one shared-memory stage plan sound for process dispatch
-    (rule ``EXEC005``)."""
-    out: list[Diagnostic] = []
-    tag = f"{plan.stage}"
-
-    # an unsplittable stage split across processes: each worker would
-    # solve a partial batch against stale shared state
-    if not plan.splittable and plan.n_chunks > 1:
-        out.append(Diagnostic(
-            rule="EXEC005", step=step_no,
-            message=f"stage {tag} couples the whole batch but would be "
-                    f"dispatched to {plan.n_chunks} processes",
-            details=(("stage", plan.stage), ("n_chunks", plan.n_chunks)),
-        ))
-
-    # pairwise-disjoint shared-memory intervals across chunks
-    for i in range(plan.n_chunks):
-        for j in range(i + 1, plan.n_chunks):
-            hits = [
-                (key_a, max(lo_a, lo_b), min(hi_a, hi_b))
-                for key_a, lo_a, hi_a in plan.ranges[i]
-                for key_b, lo_b, hi_b in plan.ranges[j]
-                if key_a == key_b and max(lo_a, lo_b) < min(hi_a, hi_b)
-            ]
-            if hits:
-                out.append(Diagnostic(
-                    rule="EXEC005", step=step_no,
-                    message=f"stage {tag}: process chunks {i} and {j} map "
-                            f"to overlapping shared-memory ranges "
-                            f"{sorted(hits)}",
-                    details=(("stage", plan.stage), ("chunks", (i, j)),
-                             ("overlap", tuple(sorted(hits)))),
-                ))
-    return out
-
-
-def check_shared_memory_plan(schedule: Schedule | CompiledSchedule, *,
-                             kernel: str = "gram",
-                             workers: int = 1,
-                             block_size: int = 1) -> list[Diagnostic]:
-    """Prove every step of a schedule sound for shared-memory process
-    dispatch under one kernel x worker-count configuration."""
-    plan = schedule if isinstance(schedule, CompiledSchedule) \
-        else compile_schedule(schedule)
-    out: list[Diagnostic] = []
-    for step_no, step in enumerate(plan.steps, start=1):
-        for shared in derive_shared_plan(step, kernel, workers, block_size):
-            out.extend(check_shared_plan(shared, step_no))
-    return out
 
 
 def check_stage_plan(plan: StagePlan,

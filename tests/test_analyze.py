@@ -8,7 +8,6 @@ each execution-layer corruption operator trips exactly the rule it is
 engineered for, by rule ID.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -29,14 +28,10 @@ from repro.verify import (
     check_host_map,
     check_plan_cache,
     check_plan_integrity,
-    check_shared_memory_plan,
-    check_shared_plan,
     check_stage_plan,
     dead_host_map,
-    derive_shared_plan,
     derive_step_chunking,
     overlap_chunk_writes,
-    overlap_shared_ranges,
     shuffle_chunk_bounds,
     skew_chunk_bounds,
     split_unsplittable_stage,
@@ -91,7 +86,6 @@ class TestRegistryGate:
         for kernel in ("reference", "batched", "gram"):
             for w in ANALYZE_WORKERS:
                 assert f"exec-plan[{kernel},w={w}]" in report.checks
-                assert f"exec-shm[{kernel},w={w}]" in report.checks
 
 
 class TestExecRules:
@@ -125,66 +119,6 @@ class TestExecRules:
         sched = make_ordering("fat_tree", 16).sweep(0)
         for kernel in ("reference", "batched", "gram"):
             assert check_executor_plan(sched, kernel=kernel, workers=4) == []
-
-
-def _shared_plans(kernel="gram", workers=4, n=32, block_size=2):
-    """Shared-memory plans of the first rotating step of a real schedule."""
-    plan = compile_schedule(make_ordering("ring_new", n).sweep(0))
-    step = next(s for s in plan.steps if s.n_pairs)
-    return {p.stage: p
-            for p in derive_shared_plan(step, kernel, workers, block_size)}
-
-
-class TestSharedMemoryRules:
-    """EXEC005: process chunks must map to disjoint arena ranges and
-    must never split the batch-coupled inner Gram solve."""
-
-    def test_pristine_shared_plans_are_clean(self):
-        for kernel in ("reference", "batched", "gram"):
-            for w in (1, 2, 4):
-                for plan in _shared_plans(kernel, w).values():
-                    assert check_shared_plan(plan) == []
-
-    def test_whole_schedule_shm_pass_is_clean(self):
-        for name in ("ring_new", "fat_tree"):
-            sched = make_ordering(name, 16).sweep(0)
-            for kernel in ("reference", "batched", "gram"):
-                for w in (1, 2, 4):
-                    assert check_shared_memory_plan(
-                        sched, kernel=kernel, workers=w, block_size=2) == []
-
-    def test_overlapping_shared_ranges_fire_exec005_only(self):
-        plan = overlap_shared_ranges(_shared_plans()["gram-apply"])
-        assert _rules(check_shared_plan(plan)) == {"EXEC005"}
-
-    def test_overlap_does_not_confuse_the_slot_checker(self):
-        # EXEC001 reasons about slots, EXEC005 about arena intervals;
-        # the range corruption must be invisible to the slot checker.
-        slots = _stage_plans()["gram-apply"]
-        assert check_stage_plan(slots) == []
-
-    def test_split_gram_solve_fires_exec005(self):
-        plan = _shared_plans()["gram-solve"]
-        assert plan.n_chunks == 1  # derivation never splits it
-        mid = plan.n_items // 2
-        split = dataclasses.replace(
-            plan,
-            bounds=((0, mid), (mid, plan.n_items)),
-            ranges=((("G", 0, mid),), (("G", mid, plan.n_items),)))
-        assert _rules(check_shared_plan(split)) == {"EXEC005"}
-
-    def test_slot_columns_scale_with_block_size(self):
-        small = _shared_plans(block_size=1)["gram-apply"]
-        big = _shared_plans(block_size=4)["gram-apply"]
-        hi_small = max(hi for r in small.ranges for _, _, hi in r)
-        hi_big = max(hi for r in big.ranges for _, _, hi in r)
-        assert hi_big == 4 * hi_small
-
-    def test_corruption_preserves_the_original(self):
-        plan = _shared_plans()["gram-apply"]
-        before = plan.ranges
-        overlap_shared_ranges(plan)
-        assert plan.ranges == before
 
 
 class TestPlanRules:

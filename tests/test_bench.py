@@ -54,9 +54,9 @@ class TestTiming:
 
 
 class TestScenarios:
-    def test_full_list_has_thirty_two_quick_has_twenty_one(self):
-        assert len(default_scenarios(quick=False)) == 32
-        assert len(default_scenarios(quick=True)) == 21
+    def test_full_list_has_thirty_one_quick_has_twenty(self):
+        assert len(default_scenarios(quick=False)) == 31
+        assert len(default_scenarios(quick=True)) == 20
 
     def test_names_unique_and_stable(self):
         full = scenario_names(quick=False)
@@ -66,7 +66,6 @@ class TestScenarios:
         assert "block/reference/ring_new/n128b8" in full
         assert "exec/serial/ring_new/n128b8" in full
         assert "exec/threads/ring_new/n128b8" in full
-        assert "exec/processes/ring_new/n128b8" in full
         assert "route/loop/ring_new/n256" in full
         assert "route/vec/ring_new/n256" in full
         assert "sanitize/off/serial/n128b8" in full
@@ -166,22 +165,19 @@ class TestScenarios:
         assert rec["meta"]["model_overhead"] > 1.0
 
     def test_run_exec_scenarios_bit_identical(self):
-        """The serial, threads and processes exec scenarios are the same
-        computation: identical convergence trajectory, only wall time may
-        differ."""
+        """The serial and threads exec scenarios are the same computation:
+        identical convergence trajectory, only wall time may differ."""
         by_name = {s.name: s for s in default_scenarios(quick=True)}
         recs = [run_scenario(by_name[f"exec/{e}/ring_new/n32b4"],
                              repeats=1, warmup=0)
-                for e in ("serial", "threads", "processes")]
+                for e in ("serial", "threads")]
         for rec in recs:
             assert rec["kind"] == "svd-parallel-exec"
             assert rec["meta"]["converged"] is True
-            assert rec["meta"]["executor"] in ("serial", "threads",
-                                               "processes")
+            assert rec["meta"]["executor"] in ("serial", "threads")
             assert rec["meta"]["sweeps"] == recs[0]["meta"]["sweeps"]
             assert rec["meta"]["rotations"] == recs[0]["meta"]["rotations"]
         assert recs[1]["meta"]["workers"] == 2
-        assert recs[2]["meta"]["workers"] == 2
 
     def test_run_route_scenarios_same_phase_totals(self):
         """The loop and vec routing scenarios route the same sweep: same

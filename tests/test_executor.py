@@ -22,6 +22,7 @@ from repro.parallel.executor import (
     default_executor_name,
     default_workers,
     resolve_executor,
+    usable_cpu_count,
 )
 
 
@@ -152,7 +153,33 @@ class TestResolution:
         assert default_workers() >= 1
 
     def test_registry_is_stable(self):
-        assert EXECUTORS == ("serial", "threads", "processes")
+        assert EXECUTORS == ("serial", "threads")
+
+    def test_processes_is_rejected_with_the_catalogue(self, monkeypatch):
+        with pytest.raises(ValueError, match="available: serial, threads"):
+            resolve_executor("processes")
+        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
+        with pytest.raises(ValueError, match="serial, threads"):
+            default_executor_name()
+
+    def test_workers_default_to_the_affinity_mask(self, monkeypatch):
+        import os
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        assert usable_cpu_count() == 2
+        assert default_workers() == 2
+
+    def test_cpu_count_fallback_without_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert usable_cpu_count() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpu_count() == 1
 
 
 def _run(a, ordering, kernel, executor, workers=None):
