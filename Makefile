@@ -49,8 +49,7 @@ lint-schedules:
 # the execution-layer gate, one level below lint-schedules: compiled
 # plans re-elaborated against their source schedules, executor
 # chunkings proved race-free and merge-deterministic for every kernel x
-# worker count, single-leaf degradation proved total, fallback chains
-# proved well-formed
+# worker count, single-leaf degradation proved total
 analyze:
 	$(PYTHON) -m repro.cli analyze
 	$(PYTHON) -m repro.cli analyze --topology none --workers 3

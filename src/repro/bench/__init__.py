@@ -15,17 +15,13 @@ from .report import (
     validate_report,
     write_report,
 )
-from .phases import PHASES, phase_breakdown, phase_probe
 from .scenarios import Scenario, default_scenarios, run_scenario, scenario_names
 from .timing import Timing, median, pin_blas_threads, time_callable
 
 __all__ = [
-    "PHASES",
     "SCHEMA",
     "Scenario",
     "Timing",
-    "phase_breakdown",
-    "phase_probe",
     "build_report",
     "compare_reports",
     "default_scenarios",

@@ -171,7 +171,7 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     """The shipped scenario list.
 
     Full mode: scalar kernels x {fat_tree, ring_new} x n in {32, 64},
-    the block kernels (gram vs reference vs batched at n=128, b=8), the
+    the block kernels (gram vs reference at n=128, b=8), the
     step-executor pair (serial vs threads on the same block run), the
     sanitizer-overhead pairs (off vs on, serial and threads), the
     batch-throughput pairs (svd_batch vs the looped-svd baseline at
@@ -180,7 +180,7 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     (vectorised vs event-driven n=512 gram sweep, speedup in meta), the
     autotuner smoke search, the parallel simulator at scalar and block
     granularity, the fault-recovery overhead run, and the lint and
-    analyze gates (31 scenarios).  ``quick`` mode shrinks every size
+    analyze gates (30 scenarios).  ``quick`` mode shrinks every size
     for CI smoke runs (20 scenarios) while keeping the same name
     structure.
     """
@@ -193,9 +193,7 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     # the block-gram-vs-reference pair: the BLAS-3 fast path against the
     # per-pair reference numerics on the same block schedule
     bn, bb = (32, 4) if quick else (128, 8)
-    block_kernels = ("reference", "gram") if quick \
-        else ("reference", "batched", "gram")
-    for kernel in block_kernels:
+    for kernel in ("reference", "gram"):
         out.append(_block_scenario(kernel, "ring_new", bn, bb))
     # the simulator fast path against its event-driven twin: one
     # fault-free gram sweep at the largest size the suite runs (the
@@ -305,14 +303,8 @@ def scenario_names(quick: bool = False) -> list[str]:
 
 def run_scenario(
     scenario: Scenario, repeats: int = 5, warmup: int = 1,
-    profile: bool = False,
 ) -> dict[str, Any]:
-    """Execute one scenario; returns its schema record (see report.py).
-
-    ``profile=True`` appends a compute/route/merge phase breakdown
-    (:mod:`repro.bench.phases`) to ``meta`` from one extra instrumented
-    run; the gated ``wall_time_s`` median stays uninstrumented.
-    """
+    """Execute one scenario; returns its schema record (see report.py)."""
     meta: dict[str, Any] = {}
     p = scenario.params
     if scenario.kind == "svd-kernel":
@@ -580,11 +572,6 @@ def run_scenario(
     timing = time_callable(work, repeats=repeats, warmup=warmup)
     if scenario.kind == "fastpath":
         meta["speedup"] = meta["event_median_s"] / timing.median_s
-    if profile:
-        from .phases import phase_breakdown
-
-        meta["phases"] = {k: round(v, 6)
-                          for k, v in phase_breakdown(work).items()}
     return {
         "name": scenario.name,
         "kind": scenario.kind,

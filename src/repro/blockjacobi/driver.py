@@ -21,6 +21,7 @@ and met-block pairs by the local solver, the rest by the ordering).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -57,9 +58,9 @@ class BlockJacobiOptions:
         block granularity).
     ``kernel``
         Local block-pair solver: ``"gram"`` (BLAS-3 Gram-space fast
-        path, the default), ``"batched"`` (fused gathered 2x2
-        transforms) or ``"reference"`` (per-step masked rotations, the
-        numerics the others are tested against) — see
+        path, the default) or ``"reference"`` (per-step masked
+        rotations, the numerics gram is tested against and the solver a
+        gram breakdown falls back to) — see
         :mod:`repro.blockjacobi.kernel`.
     ``executor``
         Step-execution backend: ``"serial"`` or ``"threads"`` (worker
@@ -92,6 +93,9 @@ class BlockJacobiOptions:
     def __post_init__(self) -> None:
         from ..parallel.executor import EXECUTORS, unknown_executor_message
 
+        # a non-integral block size fails here, not deep inside the
+        # admissibility arithmetic
+        object.__setattr__(self, "block_size", operator.index(self.block_size))
         # inner_sweeps = 0 would make every local solve a no-op that
         # reports worst = 0.0, so the driver would declare convergence
         # after one sweep with a wrong result; fail loudly instead

@@ -2,20 +2,14 @@
 
 A met block pair is a set of ``2b`` co-resident columns ``Y`` that must
 be orthogonalised against each other before the schedule moves the
-blocks on.  Three interchangeable solvers are provided:
+blocks on.  Two interchangeable solvers are provided:
 
 ``reference``
     The original loop: ``inner_sweeps`` cyclic odd-even sweeps of
     disjoint plane rotations, each step a masked BLAS-1
     :func:`~repro.svd.rotations.apply_step_rotations` call on the full
-    matrix.  The numerics every other kernel is tested against.
-
-``batched``
-    The same sweep structure, but the ``2b`` columns (data and ``V``
-    rows stacked) are gathered once into a column-as-row buffer and each
-    step is one fused
-    :func:`~repro.svd.rotations.apply_step_rotations_batched` call —
-    the scalar fast path of PR 2 reaching the block regime.
+    matrix.  The numerics the gram kernel is tested against, and the
+    solver every gram breakdown falls back to.
 
 ``gram``
     BLAS-3: form the ``2b x 2b`` Gram matrix ``G = Y^T Y`` once, run the
@@ -49,21 +43,18 @@ from functools import lru_cache
 import numpy as np
 
 from ..eig.jacobi import gram_eigh_batched, gram_eigh_grouped
-from ..svd.rotations import (
-    RotationStats,
-    apply_step_rotations,
-    apply_step_rotations_batched,
-)
+from ..svd.rotations import RotationStats, apply_step_rotations
 from ..util.errors import NumericalBreakdown
 from ..util.validation import require
 
-__all__ = ["BLOCK_KERNELS", "FALLBACK_CHAINS", "GRAM_NOISE", "KERNEL_STAGES",
+__all__ = ["BLOCK_KERNELS", "GRAM_NOISE", "KERNEL_STAGES",
            "fastpath_gram_flush", "fastpath_gram_step", "solve_block_pair",
            "solve_block_step",
            "solve_block_step_batch"]
 
-#: registered block-pair kernels; ``gram`` is the BLAS-3 fast path
-BLOCK_KERNELS = ("reference", "batched", "gram")
+#: registered block-pair kernels; ``gram`` is the BLAS-3 fast path and
+#: ``reference`` its oracle
+BLOCK_KERNELS = ("reference", "gram")
 
 #: declarative stage structure of each kernel under the step executor:
 #: ``(stage name, splittable)`` in execution order.  A splittable stage
@@ -76,21 +67,7 @@ BLOCK_KERNELS = ("reference", "batched", "gram")
 #: proves each stage's chunking against this table (rule ``EXEC002``).
 KERNEL_STAGES: dict[str, tuple[tuple[str, bool], ...]] = {
     "reference": (("pair-solve", True),),
-    "batched": (("pair-solve", True),),
     "gram": (("gram-form", True), ("gram-solve", False), ("gram-apply", True)),
-}
-
-#: per-kernel fallback chain on :class:`NumericalBreakdown`: when a
-#: solver's Gram quantities go non-finite, the affected block pairs are
-#: re-solved one robustness rung down.  The guarded reference solver
-#: (direct column rotations with an overflow prescale) is the last
-#: resort; a breakdown it cannot absorb (genuinely corrupted data)
-#: propagates to the caller — under a fault-recovery driver that
-#: triggers a sweep-checkpoint rollback instead of garbage output.
-FALLBACK_CHAINS = {
-    "gram": ("gram", "batched", "reference"),
-    "batched": ("batched", "reference"),
-    "reference": ("reference",),
 }
 
 #: local column magnitudes above this trip the reference solver's
@@ -154,15 +131,19 @@ def solve_block_step(
     phases — the inner Gram Jacobi stays one full-stack solve, because
     its convergence floor couples matrices across the batch and
     splitting it would change the rotation sequence — while the
-    per-pair kernels chunk the pair loop itself.  Either way the result
+    reference kernel chunks the pair loop itself.  Either way the result
     is bit-identical to the serial path for any worker count (see
     :mod:`repro.parallel.executor` for the contract).
 
     On :class:`~repro.util.errors.NumericalBreakdown` the step degrades
-    gracefully: the pairs are re-solved one by one, each walking down
-    :data:`FALLBACK_CHAINS` (``stats.fallbacks`` counts the downgrades).
-    The stacked solvers only raise *before* touching ``X``/``V``, so the
-    per-pair retry starts from unmodified data.
+    gracefully: the pairs are re-solved one by one, each first with its
+    own kernel and, should that break down too, with the guarded
+    reference solver (``stats.fallbacks`` counts the pairs that fell
+    back).  A breakdown the guarded solver cannot absorb (genuinely
+    corrupted data) propagates to the caller — under a fault-recovery
+    driver that triggers a sweep-checkpoint rollback instead of garbage
+    output.  The stacked solvers only raise *before* touching
+    ``X``/``V``, so the per-pair retry starts from unmodified data.
 
     ``sanitizer`` (a :class:`~repro.verify.sanitize.RuntimeSanitizer`)
     opens a write-set record for the step: the solvers report the column
@@ -221,16 +202,15 @@ def _solve_step_body(
             return _solve_gram_many(X, V, pair_cols, tol, sort, inner_sweeps,
                                     executor, sanitizer)
         except NumericalBreakdown:
-            pass  # isolate the poisoned pairs via the per-pair chain
-    chain = FALLBACK_CHAINS[kernel]
+            pass  # isolate the poisoned pairs with per-pair solves
     n_pairs = len(pair_cols)
 
     def solve_pairs(lo: int, hi: int) -> tuple[RotationStats, float]:
         stats = RotationStats()
         worst = 0.0
         for i in range(lo, hi):
-            st, mx = _solve_pair_chain(X, V, pair_cols[i], tol, sort,
-                                       inner_sweeps, chain)
+            st, mx = _solve_pair(X, V, pair_cols[i], tol, sort,
+                                 inner_sweeps, kernel)
             stats.merge(st)
             worst = max(worst, mx)
         return stats, worst
@@ -244,7 +224,7 @@ def _solve_step_body(
         # reduction
         out = executor.run_chunks(n_pairs, solve_pairs)
     if sanitizer is not None:
-        # the per-pair solvers rewrite every column of their pairs
+        # the per-pair solves rewrite every column of their pairs
         for lo, hi in _phase_bounds(executor, n_pairs, chunked):
             sanitizer.record_touch(
                 lo, hi, np.concatenate([np.asarray(pair_cols[i])
@@ -257,34 +237,26 @@ def _solve_step_body(
     return stats, worst
 
 
-def _solve_pair_chain(
+def _solve_pair(
     X: np.ndarray,
     V: np.ndarray | None,
     cols: np.ndarray,
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    chain: tuple[str, ...],
+    kernel: str,
 ) -> tuple[RotationStats, float]:
-    """Solve one block pair, falling down ``chain`` on breakdown."""
-    last: NumericalBreakdown | None = None
-    downgrades = 0
-    for kern in chain:
+    """Solve one block pair with its own kernel; a gram breakdown falls
+    back to the guarded reference solver (one ``stats.fallbacks``)."""
+    if kernel == "gram":
         try:
-            if kern == "gram":
-                st, mx = _solve_gram_many(X, V, [cols], tol, sort,
-                                          inner_sweeps)
-            elif kern == "batched":
-                st, mx = _solve_batched(X, V, cols, tol, sort, inner_sweeps)
-            else:
-                st, mx = _solve_reference_guarded(X, V, cols, tol, sort,
-                                                  inner_sweeps)
-            st.fallbacks += downgrades
+            return _solve_gram_many(X, V, [cols], tol, sort, inner_sweeps)
+        except NumericalBreakdown:
+            st, mx = _solve_reference_guarded(X, V, cols, tol, sort,
+                                              inner_sweeps)
+            st.fallbacks += 1
             return st, mx
-        except NumericalBreakdown as exc:
-            last = exc
-            downgrades += 1
-    raise last
+    return _solve_reference_guarded(X, V, cols, tol, sort, inner_sweeps)
 
 
 def _solve_reference_guarded(
@@ -303,7 +275,7 @@ def _solve_reference_guarded(
     magnitude, solving, and multiplying back recovers the exact same
     rotations without ever leaving the finite range.  Genuinely
     corrupted data (NaN, or Inf entries) still trips the sentinels
-    inside and propagates — the fallback chain rescues overflow, not
+    inside and propagates — the fallback rescues overflow, not
     corruption.
     """
     peak = float(np.max(np.abs(X[:, cols]), initial=0.0))
@@ -357,58 +329,6 @@ def _solve_reference(
             for i in starts:
                 order[i], order[i + 1] = order[i + 1], order[i]
         first = False
-    return stats, worst
-
-
-def _solve_batched(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    cols: np.ndarray,
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-) -> tuple[RotationStats, float]:
-    """The reference sweep structure on a gathered column-as-row buffer.
-
-    The ``2b`` stacked ``[X; V]`` columns are gathered once, every
-    odd-even step is one fused batched 2x2 transform, and the result is
-    scattered back once — the scalar batched kernel's layout applied at
-    block-pair scope (the local norm cache lives only for this solve, so
-    no cross-sweep cache coherence is needed).
-    """
-    k = len(cols)
-    m = X.shape[0]
-    if V is not None:
-        WT = np.hstack((X[:, cols].T, V[:, cols].T))
-    else:
-        WT = np.ascontiguousarray(X[:, cols].T)
-    norms_sq = np.einsum("ij,ij->i", WT[:, :m], WT[:, :m])
-    stats = RotationStats()
-    worst = 0.0
-    first = True
-    # local row r holds column cols[r]; orientation follows column ids
-    order = list(range(k))
-    for _ in range(inner_sweeps):
-        for parity in range(k):
-            starts = range(parity % 2, k - 1, 2)
-            ra = np.array([order[i] for i in starts], dtype=np.intp)
-            rb = np.array([order[i + 1] for i in starts], dtype=np.intp)
-            if ra.size:
-                flip = cols[ra] > cols[rb]
-                ab = np.column_stack((ra, rb))
-                P = np.where(flip[:, None], ab[:, ::-1], ab)
-                st, mx = apply_step_rotations_batched(
-                    WT, P, tol, sort, norms_sq, m
-                )
-                stats.merge(st)
-                if first:
-                    worst = max(worst, mx)
-            for i in starts:
-                order[i], order[i + 1] = order[i + 1], order[i]
-        first = False
-    X[:, cols] = WT[:, :m].T
-    if V is not None:
-        V[:, cols] = WT[:, m:].T
     return stats, worst
 
 
@@ -501,7 +421,7 @@ def _gram_measure(
     finite = np.isfinite(G)
     if not finite.all():
         # breakdown sentinel: raise before any column is touched so the
-        # fallback chain can re-solve the poisoned pairs from clean data
+        # per-pair fallback can re-solve the poisoned pairs from clean data
         i = int(np.argwhere(~finite)[0][0])
         raise NumericalBreakdown(
             f"non-finite Gram block for pair {i} "
@@ -630,7 +550,7 @@ def fastpath_gram_step(
 
     Raises :class:`~repro.util.errors.NumericalBreakdown` before
     touching any row; the caller materialises ``X``/``V`` and delegates
-    the step to the event-path solver (same per-pair fallback chain).
+    the step to the event-path solver (same per-pair fallback).
     """
     stats = RotationStats()
     cols_arr = np.asarray(cols_arr, dtype=np.intp)
@@ -810,7 +730,7 @@ def solve_block_step_batch(
     gather/Gram-form and one apply/scatter — while the inner Gram
     Jacobi runs through :func:`repro.eig.gram_eigh_grouped` with one
     *convergence group per problem*, so no problem's rotation sequence
-    ever depends on its batch neighbours.  The per-pair kernels loop
+    ever depends on its batch neighbours.  The reference kernel loops
     over the items.  ``executor`` chunks the *batch axis* (items, not
     GEMM rows, are the unit of parallel work); chunks write disjoint
     ``Xs[i]`` slices and merge in chunk order, so any worker count
@@ -818,8 +738,8 @@ def solve_block_step_batch(
 
     A poisoned item (non-finite Gram blocks or rotation factors) is
     delegated alone to :func:`solve_block_step`'s body, which re-raises
-    the same breakdown from the untouched columns and walks the same
-    per-pair fallback chain a solo run would.
+    the same breakdown from the untouched columns and takes the same
+    per-pair fallback a solo run would.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
     require(kernel in BLOCK_KERNELS,
@@ -938,8 +858,8 @@ def _solve_gram_batch(
 
     def delegate(j: int) -> None:
         # the solo path re-forms this item's Gram blocks from its still
-        # untouched columns, hits the same breakdown, and walks the same
-        # fallback chain — bit-identical to a standalone run
+        # untouched columns, hits the same breakdown, and takes the same
+        # per-pair fallback — bit-identical to a standalone run
         st, mx = _solve_step_body(
             Xs[items[j]], None if Vs is None else Vs[items[j]], pair_cols,
             tol, sort, inner_sweeps, "gram", None, None)

@@ -72,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "throughput; incompatible with --fault")
     run.add_argument("--kernel", default=None,
                      choices=["reference", "batched", "gram"],
-                     help="rotation kernel (batched = fused fast path; "
-                          "gram = BLAS-3 block kernel, needs --block-size)")
+                     help="rotation kernel (batched = fused scalar fast "
+                          "path; gram = BLAS-3 block kernel, needs "
+                          "--block-size)")
     run.add_argument("--block-size", type=int, default=None, metavar="B",
                      help="run at block granularity with B columns per "
                           "schedule unit (default: scalar, 1 column)")
@@ -182,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PCT",
                        help="allowed per-scenario slowdown for --compare "
                             "(percent, default 20)")
-    bench.add_argument("--profile", action="store_true",
-                       help="attach a per-scenario phase breakdown "
-                            "(compute / route / merge seconds) to the "
-                            "report, from one extra instrumented run")
 
     tune = sub.add_parser(
         "tune",
@@ -242,6 +239,21 @@ def _harness():
     raise RuntimeError("benchmarks/harness.py not found; run from the repository")
 
 
+def _out_dir_problem(path: str) -> str | None:
+    """Create the ``--out`` directory if it is missing; the one-line
+    reason it cannot hold a report, or ``None``.  Called before any
+    timing, so a bad path never discards a finished run."""
+    import os
+
+    if os.path.exists(path) and not os.path.isdir(path):
+        return f"--out {path!r} is not a directory"
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        return f"cannot create --out directory {path!r}: {exc}"
+    return None
+
+
 def _bench(args: argparse.Namespace) -> int:
     """The ``bench`` subcommand body; returns a process exit code
     (0 clean, 1 regression vs --compare, 2 usage/validation error)."""
@@ -269,6 +281,10 @@ def _bench(args: argparse.Namespace) -> int:
         return 2
     if args.max_slowdown <= 0:
         print("--max-slowdown must be a positive percentage")
+        return 2
+    problem = _out_dir_problem(args.out)
+    if problem is not None:
+        print(problem)
         return 2
     old = None
     if args.compare is not None:
@@ -317,8 +333,7 @@ def _bench(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"timing {s.name} ...", flush=True)
         records.append(run_scenario(s, repeats=args.repeats,
-                                    warmup=args.warmup,
-                                    profile=args.profile))
+                                    warmup=args.warmup))
     doc = build_report(args.tag, records, repeats=args.repeats,
                        warmup=args.warmup, quick=args.quick,
                        blas_threads=blas_threads)
@@ -368,6 +383,11 @@ def _tune(args: argparse.Namespace) -> int:
     if args.slack <= 0:
         print("--slack must be a positive ratio")
         return 2
+    if not (args.dry_run or args.no_save):
+        problem = _out_dir_problem(args.out)
+        if problem is not None:
+            print(problem)
+            return 2
 
     candidates = candidate_space(args.m, args.n, args.batch,
                                  quick=args.quick)
@@ -435,6 +455,10 @@ def _svd(args: argparse.Namespace) -> int:
     1 non-converged result, 2 usage error)."""
     if args.kernel == "gram" and args.block_size is None:
         print("--kernel gram is a block kernel; pass --block-size B")
+        return 2
+    if args.kernel == "batched" and args.block_size is not None:
+        print("--kernel batched is a scalar kernel; block mode runs gram "
+              "or reference")
         return 2
     if args.block_size is not None and args.block_size < 1:
         print("--block-size must be a positive column count")

@@ -39,6 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["parallel_svd", "svd", "svd_batch"]
 
 
+def _require_tall(shape: tuple[int, ...]) -> None:
+    """Reject wide input before any padding: the ``n - m`` null
+    directions of a wide matrix never pass the relative threshold."""
+    m, n = shape[-2:]
+    require(m >= n, f"expect m >= n (got {(m, n)}); pass a.T for wide "
+                    "matrices")
+
+
 def _needs_power_of_two(ordering: str | Ordering) -> bool:
     name = ordering if isinstance(ordering, str) else ordering.name
     return name in ("fat_tree", "llb", "hybrid")
@@ -167,15 +175,18 @@ def svd(
     (power of two for the tree orderings, even otherwise) are transparently
     zero-padded and the result stripped back to ``n`` columns.
 
+    Wide input (m < n) raises ``ValueError``: pass ``a.T`` and swap the
+    factors.
+
     ``kernel`` (``"reference"`` or ``"batched"``) overrides the rotation
     kernel of ``options``; the batched kernel fuses each parallel step
     into a single gathered 2x2 block transform and is the fast path.
 
     ``block_size=b`` switches to the block Jacobi driver: the ordering
     runs on ``b``-column blocks and the local subproblems are solved by
-    a block kernel (``"gram"``, ``"batched"`` or ``"reference"``; the
-    BLAS-3 gram kernel by default).  Admissibility and padding are then
-    decided at block granularity.
+    a block kernel (``"gram"``, the BLAS-3 default, or its oracle
+    ``"reference"``).  Admissibility and padding are then decided at
+    block granularity.
 
     ``executor``/``workers`` pick the step-execution backend of block
     mode (``"serial"`` or ``"threads"``; workers split each step's
@@ -199,6 +210,7 @@ def svd(
     the paper's ``"fat_tree"``.
     """
     a = as_float_matrix(a, "a")
+    _require_tall(a.shape)
     ordering, kernel, block_size, executor, workers = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "fat_tree", ordering,
         options, kernel, block_size, executor, workers)
@@ -274,10 +286,11 @@ def parallel_svd(
 
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile exactly as in :func:`svd`; the ordering default here is the
-    machine-level ``"hybrid"``.  Out-of-range inputs are scaled as in
-    :func:`svd`.
+    machine-level ``"hybrid"``.  Out-of-range inputs are scaled and wide
+    inputs rejected as in :func:`svd`.
     """
     a = as_float_matrix(a, "a")
+    _require_tall(a.shape)
     ordering, kernel, block_size, executor, workers = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "hybrid", ordering,
         options, kernel, block_size, executor, workers)
@@ -355,7 +368,8 @@ def svd_batch(
     ``block_size``) falls back to a plain loop of :func:`svd`.
 
     A non-finite entry raises ``ValueError`` naming the offending batch
-    index and coordinates (``matrices[i] contains ... at index (r, c)``).
+    index and coordinates (``matrices[i] contains ... at index (r, c)``);
+    wide items (m < n) raise ``ValueError`` as in :func:`svd`.
 
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile as in :func:`svd`, with the batch size part of the shape
@@ -364,6 +378,7 @@ def svd_batch(
     :func:`svd` would scale it.
     """
     stack = _as_batch_stack(matrices)
+    _require_tall(stack.shape)
     nitems, _, n = stack.shape
     ordering, kernel, block_size, executor, workers = _profile_fill(
         profile, stack.shape[1], n, nitems, "fat_tree", ordering,

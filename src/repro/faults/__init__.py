@@ -6,8 +6,9 @@ corruption, processor crash-stop and stall, link-level outages) plus
 the recovery machinery that keeps a faulted run correct — ack/seq
 retransmission with capped exponential backoff, sweep-boundary
 checkpoints with rollback-and-retry, graceful degradation onto sibling
-leaves, and numerical guardrails (non-finite sentinels, kernel fallback
-chain, convergence watchdog).
+leaves, and numerical guardrails (non-finite sentinels, the gram
+kernel's fallback to the guarded reference solver, convergence
+watchdog).
 
 Entry points::
 

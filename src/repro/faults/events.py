@@ -26,7 +26,7 @@ FAULT_ACTIONS = (
     "outage-wait",     # sender backed off until the link window reopened
     "rollback",        # sweep restored from checkpoint
     "remap",           # dead leaf's columns rehosted on its sibling
-    "fallback",        # block kernel fell down the gram->batched->reference chain
+    "fallback",        # a gram breakdown re-solved pairs with the guarded reference
     "watchdog",        # convergence watchdog flagged a stall/escalation
     "corrupted",       # silent payload corruption was applied
     "unrecoverable",   # recovery budget exhausted; run failed explicitly

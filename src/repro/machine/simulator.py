@@ -562,7 +562,7 @@ class TreeMachine:
         at large n — becomes contiguous row traffic, with sort-only
         steps reduced to index relabelings.  A numerical breakdown
         materialises ``X``/``V`` and delegates that step to the event
-        solver, preserving the fallback-chain semantics bit for bit.
+        solver, preserving the per-pair fallback semantics bit for bit.
         """
         from ..blockjacobi.kernel import (
             fastpath_gram_flush,
@@ -603,7 +603,7 @@ class TreeMachine:
                             self.inner_sweeps, scratch=scratch)
                     except NumericalBreakdown:
                         # materialise and delegate the poisoned step to
-                        # the event solver: same per-pair fallback chain
+                        # the event solver: same per-pair fallback
                         # on the same values, then re-ingest the buffers
                         fastpath_gram_flush(XT, VT, scratch)
                         X[:] = XT[row_of_col].T

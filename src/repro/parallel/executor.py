@@ -15,7 +15,7 @@ Backends
 ``threads``
     A reused :class:`~concurrent.futures.ThreadPoolExecutor`.  Numpy's
     GEMMs drop the GIL, so the BLAS-3 phases of the gram kernel (and the
-    per-pair reference/batched solves) can overlap on multicore hosts.
+    per-pair reference solves) can overlap on multicore hosts.
 
 Determinism contract
 --------------------

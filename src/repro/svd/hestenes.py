@@ -31,6 +31,7 @@ from ..util.validation import require
 from .convergence import off_norm
 from .rotations import (
     RotationStats,
+    _validate_sort,
     apply_step_rotations,
     apply_step_rotations_batched,
     column_norms_sq,
@@ -78,6 +79,16 @@ class JacobiOptions:
     threshold_strategy: "ThresholdStrategy | None" = None
     kernel: str = "reference"
 
+    def __post_init__(self) -> None:
+        # max_sweeps = 0 would hand back the unrotated input as a
+        # "partial decomposition"; refuse it like BlockJacobiOptions does
+        require(self.max_sweeps >= 1,
+                f"max_sweeps must be >= 1, got {self.max_sweeps!r}")
+        require(self.kernel in KERNELS,
+                f"unknown kernel {self.kernel!r}; "
+                f"available: {', '.join(KERNELS)}")
+        _validate_sort(self.sort)
+
 
 def _resolve_ordering(ordering: str | Ordering, n: int, **kwargs: object) -> Ordering:
     if isinstance(ordering, Ordering):
@@ -124,8 +135,6 @@ def hestenes_sweeps(
     invariants (permuted alongside the schedule's column moves) — only
     ``gamma`` costs a fresh dot product per pair.
     """
-    require(options.kernel in KERNELS,
-            f"unknown kernel {options.kernel!r}; available: {', '.join(KERNELS)}")
     if options.kernel == "batched":
         return _sweeps_batched(X, V, ordering, options)
     return _sweeps_reference(X, V, ordering, options)

@@ -68,8 +68,8 @@ class RotationStats:
     ``exchanged`` counts already-orthogonal pairs whose columns were
     exchanged to respect the norm ordering.  The paper's termination rule
     needs ``exchanged`` ("... and no columns are interchanged").
-    ``fallbacks`` counts block pairs re-solved down the kernel fallback
-    chain (gram -> batched -> reference) after a numerical breakdown.
+    ``fallbacks`` counts block pairs the gram kernel handed to the
+    guarded reference solver after a numerical breakdown.
     """
 
     applied: int = 0

@@ -115,7 +115,7 @@ def candidate_space(m: int, n: int, batch: int | None = None, *,
       is strictly dominated and would waste most of round one);
     * the BLAS-3 ``gram`` kernel at every admissible divisor block size
       (>= 8 slots), fat-tree ordering when the block count is a power of
-      two, ring ordering otherwise, plus one block-``batched`` variant;
+      two, ring ordering otherwise;
     * one threads variant of the best-blocked gram candidate
       (``workers=2``, the determinism-safe floor).
 
@@ -154,8 +154,6 @@ def candidate_space(m: int, n: int, batch: int | None = None, *,
         add(Candidate(kernel="gram", block_size=b,
                       ordering=block_ordering(b)))
     if best_b is not None:
-        add(Candidate(kernel="batched", block_size=best_b,
-                      ordering=block_ordering(best_b)))
         add(Candidate(kernel="gram", block_size=best_b,
                       ordering=block_ordering(best_b),
                       executor="threads", workers=2))

@@ -26,8 +26,7 @@ detector or sanitizer gates a parallel runtime:
 * :mod:`repro.verify.plancheck` — compiled-plan re-elaboration and
   plan-cache integrity (``PLAN001``-``PLAN003``);
 * :mod:`repro.verify.faultcheck` — fault-tolerance totality: every
-  single-leaf death and the kernel fallback chains
-  (``FT001``/``FT002``);
+  single-leaf death (``FT001``);
 * :mod:`repro.verify.analyze` — orchestration of the execution-layer
   passes (the ``repro-harness analyze`` gate);
 * :mod:`repro.verify.sanitize` — the opt-in *runtime* sanitizer:
@@ -55,7 +54,6 @@ from .analyze import (
 )
 from .capacity import check_capacity, crosscheck_dynamic, static_level_contention
 from .corrupt import (
-    break_fallback_chain,
     dead_host_map,
     drift_factor,
     drop_exchange,
@@ -91,7 +89,6 @@ from .executor_plan import (
 )
 from .faultcheck import (
     check_degraded_totality,
-    check_fallback_chains,
     check_host_map,
 )
 from .linter import DEFAULT_SIZES, lint_ordering, lint_registry, lint_schedule
@@ -124,14 +121,12 @@ __all__ = [
     "analyze_ordering",
     "analyze_registry",
     "analyze_schedule",
-    "break_fallback_chain",
     "channel_dependency_cycle",
     "check_capacity",
     "check_deadlock_free",
     "check_degraded_totality",
     "check_executor_plan",
     "check_fastpath_projection",
-    "check_fallback_chains",
     "check_host_map",
     "check_numeric_canaries",
     "check_ordering_restoration",

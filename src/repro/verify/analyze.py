@@ -15,8 +15,7 @@ sound for those schedules.  For every registered ordering x size it
   each stacked scatter hazard-free, trajectory-consistent and the
   sweep permutation a bijection (``EXEC006``);
 * enumerates every single-leaf death and proves graceful degradation
-  total, plus fallback-chain well-formedness
-  (:mod:`repro.verify.faultcheck`, ``FT001``/``FT002``).
+  total (:mod:`repro.verify.faultcheck`, ``FT001``).
 
 ``repro-harness analyze`` is the CLI face of this module; CI runs
 ``analyze --quick``.  Reports use the same
@@ -35,7 +34,7 @@ from ..orderings.registry import ORDERINGS, make_ordering
 from ..orderings.schedule import Schedule
 from .diagnostics import Report
 from .executor_plan import check_executor_plan, check_fastpath_projection
-from .faultcheck import check_degraded_totality, check_fallback_chains
+from .faultcheck import check_degraded_totality
 from .linter import DEFAULT_SIZES, MAX_RESTORATION_PERIOD
 from .plancheck import check_plan_cache, check_plan_integrity
 
@@ -77,7 +76,6 @@ def analyze_schedule(
                       "ft-degraded")
     else:
         report.checks.append("ft-degraded(skipped: no topology)")
-    report.extend(check_fallback_chains(), "ft-fallback")
     return report
 
 

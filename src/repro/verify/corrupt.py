@@ -21,7 +21,6 @@ operator                    rule the verifier must fire
 :func:`tamper_final_layout`      ``PLAN002`` (trajectory corrupted)
 :func:`stale_plan_memo`          ``PLAN003`` (stale cached plan)
 :func:`dead_host_map`            ``FT001`` (unsound degraded map)
-:func:`break_fallback_chain`     ``FT002`` (malformed fallback chain)
 :func:`stray_column_touch`       ``SAN001`` (out-of-set runtime write)
 :func:`poison_factor`            ``SAN002`` (non-finite factor entry)
 :func:`drift_factor`             ``SAN003`` (numeric invariant drift)
@@ -37,8 +36,8 @@ re-exported here for backwards compatibility.
 
 The execution-layer operators work one level below the schedule: they
 perturb :class:`~repro.verify.executor_plan.StagePlan` objects, compiled
-plans, host maps, fallback tables, runtime write records and factor
-matrices — each still engineered to trip exactly one rule.
+plans, host maps, runtime write records and factor matrices — each
+still engineered to trip exactly one rule.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ __all__ = [
     "tamper_final_layout",
     "stale_plan_memo",
     "dead_host_map",
-    "break_fallback_chain",
     "stray_column_touch",
     "poison_factor",
     "drift_factor",
@@ -324,19 +322,6 @@ def dead_host_map(n_leaves: int) -> tuple[np.ndarray, set[int]]:
     """
     require(n_leaves >= 2, "need at least two leaves")
     return np.arange(n_leaves, dtype=np.intp), {0}
-
-
-def break_fallback_chain() -> dict[str, tuple[str, ...]]:
-    """A fallback table whose gram chain dead-ends before ``reference``.
-
-    A breakdown in the batched solver would leave no escape route to
-    the always-works solver (``FT002``).
-    """
-    from ..blockjacobi.kernel import FALLBACK_CHAINS
-
-    chains = {k: tuple(v) for k, v in FALLBACK_CHAINS.items()}
-    chains["gram"] = ("gram", "batched")
-    return chains
 
 
 def stray_column_touch(

@@ -68,8 +68,6 @@ RULES: dict[str, tuple[str, str]] = {
                          "the schedule (stale instance memo or fingerprint collision)"),
     "FT001": ("error", "a single-leaf failure leaves no sound degraded remap "
                        "(host map broken or degraded routing impossible)"),
-    "FT002": ("error", "kernel fallback chain malformed: it does not walk registered "
-                       "kernels down to the reference solver"),
     "SAN001": ("error", "runtime write-set violation: a worker touched columns outside "
                         "its static write-set, disjoint chunks overlapped, or the "
                         "dispatched bounds diverged from the static chunking"),

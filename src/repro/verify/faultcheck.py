@@ -17,16 +17,6 @@ topology and asserting each one yields a sound degraded configuration:
     *accepted* — degraded mode trades contention-freeness for liveness —
     but the routing must exist.
 
-``FT002``
-    the kernel fallback chains
-    (:data:`~repro.blockjacobi.kernel.FALLBACK_CHAINS`) must be
-    well-formed: every registered kernel has a chain, the chain starts
-    at the kernel, walks registered kernels without repetition, ends at
-    the ``reference`` solver, and is *suffix-consistent* (the chain of a
-    downgraded kernel is the tail of the chain that downgraded to it) —
-    otherwise a breakdown could downgrade forever or dead-end short of
-    the always-works solver.
-
 The schedule's structural soundness is checked once without a topology
 — capacity findings are a property of the (schedule, machine) pairing
 the ``CAP*`` rules already own, not of fault tolerance.
@@ -34,11 +24,10 @@ the ``CAP*`` rules already own, not of fault tolerance.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection
 
 import numpy as np
 
-from ..blockjacobi.kernel import BLOCK_KERNELS, FALLBACK_CHAINS
 from ..machine.routing import remap_leaves, route_phase
 from ..machine.simulator import TreeMachine
 from ..machine.topology import TreeTopology
@@ -49,7 +38,6 @@ from .races import find_races
 
 __all__ = [
     "check_degraded_totality",
-    "check_fallback_chains",
     "check_host_map",
 ]
 
@@ -118,57 +106,4 @@ def check_degraded_totality(schedule: Schedule,
                             f"cannot be routed on the degraded map: {exc}",
                     details=(("dead_leaf", dead),),
                 ))
-    return out
-
-
-def check_fallback_chains(
-    chains: Mapping[str, Sequence[str]] | None = None,
-) -> list[Diagnostic]:
-    """Prove the kernel fallback chains well-formed (rule ``FT002``).
-
-    ``chains`` defaults to the live
-    :data:`~repro.blockjacobi.kernel.FALLBACK_CHAINS`; the negative
-    tests pass corrupted tables.
-    """
-    if chains is None:
-        chains = FALLBACK_CHAINS
-    out: list[Diagnostic] = []
-
-    def finding(kernel: str, why: str) -> Diagnostic:
-        return Diagnostic(
-            rule="FT002",
-            message=f"fallback chain of kernel {kernel!r} malformed: {why} "
-                    f"(chain: {list(chains.get(kernel, ()))})",
-            details=(("kernel", kernel),
-                     ("chain", tuple(chains.get(kernel, ())))),
-        )
-
-    for kernel in BLOCK_KERNELS:
-        chain = tuple(chains.get(kernel, ()))
-        if not chain:
-            out.append(finding(kernel, "no chain registered"))
-            continue
-        if chain[0] != kernel:
-            out.append(finding(kernel, "chain does not start at the kernel"))
-        if chain[-1] != "reference":
-            out.append(finding(
-                kernel, "chain does not end at the reference solver"))
-        if len(set(chain)) != len(chain):
-            out.append(finding(
-                kernel, "chain repeats a kernel (downgrade loop)"))
-        unknown = [k for k in chain if k not in BLOCK_KERNELS]
-        if unknown:
-            out.append(finding(
-                kernel, f"chain names unregistered kernel(s) {unknown}"))
-            continue
-        # suffix consistency: downgrading to chain[i] must leave exactly
-        # the remaining tail as its own escape route
-        for i in range(1, len(chain)):
-            if tuple(chains.get(chain[i], ())) != chain[i:]:
-                out.append(finding(
-                    kernel,
-                    f"downgrading to {chain[i]!r} changes the escape "
-                    f"route (expected tail {list(chain[i:])}, "
-                    f"got {list(chains.get(chain[i], ()))})"))
-                break
     return out

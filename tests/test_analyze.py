@@ -21,10 +21,8 @@ from repro.verify import (
     analyze_ordering,
     analyze_registry,
     analyze_schedule,
-    break_fallback_chain,
     check_degraded_totality,
     check_executor_plan,
-    check_fallback_chains,
     check_host_map,
     check_plan_cache,
     check_plan_integrity,
@@ -83,7 +81,7 @@ class TestRegistryGate:
     def test_every_kernel_worker_combination_is_checked(self):
         sched = make_ordering("ring_new", 8).sweep(0)
         report = analyze_schedule(sched, make_topology("perfect", 4))
-        for kernel in ("reference", "batched", "gram"):
+        for kernel in ("reference", "gram"):
             for w in ANALYZE_WORKERS:
                 assert f"exec-plan[{kernel},w={w}]" in report.checks
 
@@ -92,7 +90,7 @@ class TestExecRules:
     """EXEC corruptions fire exactly their engineered rule."""
 
     def test_pristine_stage_plans_are_clean(self):
-        for kernel in ("reference", "batched", "gram"):
+        for kernel in ("reference", "gram"):
             for w in (1, 2, 4):
                 for plan in _stage_plans(kernel, w).values():
                     assert check_stage_plan(plan) == []
@@ -117,7 +115,7 @@ class TestExecRules:
 
     def test_whole_schedule_pass_is_clean(self):
         sched = make_ordering("fat_tree", 16).sweep(0)
-        for kernel in ("reference", "batched", "gram"):
+        for kernel in ("reference", "gram"):
             assert check_executor_plan(sched, kernel=kernel, workers=4) == []
 
 
@@ -163,13 +161,6 @@ class TestFaultRules:
     def test_unremapped_dead_leaf_fires_ft001(self):
         diags = check_host_map(*dead_host_map(8))
         assert _rules(diags) == {"FT001"}
-
-    def test_live_fallback_chains_are_clean(self):
-        assert check_fallback_chains() == []
-
-    def test_dead_end_chain_fires_ft002(self):
-        diags = check_fallback_chains(break_fallback_chain())
-        assert _rules(diags) == {"FT002"}
 
 
 @pytest.mark.lint

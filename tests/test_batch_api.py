@@ -19,7 +19,7 @@ import pytest
 from repro import BatchResult, parallel_svd, svd, svd_batch
 from repro.core.result import SVDResult
 
-KERNELS = ("reference", "batched", "gram")
+KERNELS = ("reference", "gram")
 ORDERINGS = ("fat_tree", "ring_new")
 EXECUTORS = (("serial", None), ("threads", 2))
 

@@ -54,8 +54,8 @@ class TestTiming:
 
 
 class TestScenarios:
-    def test_full_list_has_thirty_one_quick_has_twenty(self):
-        assert len(default_scenarios(quick=False)) == 31
+    def test_full_list_has_thirty_quick_has_twenty(self):
+        assert len(default_scenarios(quick=False)) == 30
         assert len(default_scenarios(quick=True)) == 20
 
     def test_names_unique_and_stable(self):

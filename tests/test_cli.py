@@ -84,6 +84,11 @@ class TestCommands:
         assert rc == 2
         assert "--block-size" in capsys.readouterr().out
 
+    def test_svd_batched_with_block_size_is_usage_error(self, capsys):
+        rc = main(["svd", "--kernel", "batched", "--block-size", "4"])
+        assert rc == 2
+        assert "scalar kernel" in capsys.readouterr().out
+
     def test_svd_nonpositive_block_size_is_usage_error(self, capsys):
         rc = main(["svd", "--block-size", "0"])
         assert rc == 2
@@ -224,3 +229,26 @@ class TestBenchCommand:
         for name in ("bench_baseline_slow.json", "bench_baseline_fast.json"):
             doc = json.loads((FIXTURES / name).read_text())
             assert validate_report(doc) == [], name
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("cmd", [["bench"], ["tune", "--m", "16", "--n", "8"]],
+                             ids=["bench", "tune"])
+    def test_unusable_out_exits_before_timing(self, tmp_path, capsys,
+                                              monkeypatch, cmd):
+        import repro.bench
+        import repro.tune
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("timed before --out was checked")
+
+        monkeypatch.setattr(repro.bench, "run_scenario", refuse)
+        monkeypatch.setattr(repro.tune, "tune", refuse)
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+            assert main([*cmd, "--out", str(out)]) == 2
+            assert capsys.readouterr().out.count("\n") == 1
+
+    def test_bench_creates_a_missing_out_directory(self, tmp_path, capsys):
+        assert _bench(tmp_path / "new" / "dir", "--tag", "t5") == 0
+        assert (tmp_path / "new" / "dir" / "BENCH_t5.json").exists()

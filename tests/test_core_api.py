@@ -11,6 +11,7 @@ from repro import (
     ordering_names,
     parallel_svd,
     svd,
+    svd_batch,
 )
 
 
@@ -128,6 +129,25 @@ class TestInputValidation:
         a[7, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             svd(a)
+
+    # every entry point rejects wide input before padding: 3x6 would be
+    # padded to 8 columns (whose null columns never converge), 3x8 not
+    @pytest.mark.parametrize("kw", [{}, {"ordering": "ring_new"},
+                                    {"block_size": 2}],
+                             ids=["default", "ring_new", "block"])
+    def test_wide_input_rejected(self, rng, kw):
+        for a in (rng.standard_normal((3, 6)), rng.standard_normal((3, 8))):
+            for call in (svd, parallel_svd, svd_batch):
+                with pytest.raises(ValueError, match=r"pass a\.T"):
+                    call(a[None] if call is svd_batch else a, **kw)
+
+    def test_options_reject_what_they_cannot_run(self, rng):
+        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+            JacobiOptions(max_sweeps=0)
+        with pytest.raises(ValueError, match="sort must be one of"):
+            JacobiOptions(sort="up")
+        with pytest.raises(TypeError):
+            svd(rng.standard_normal((40, 32)), block_size=1.5)
 
 
 class TestConvergenceSurfacing:

@@ -31,7 +31,6 @@ CONFIGS = (
     ("gram", 2),
     ("gram", 4),
     ("reference", 2),
-    ("batched", 4),
 )
 
 
@@ -116,7 +115,7 @@ def test_parity_converged_sweeps():
 def test_breakdown_fallback_is_bitwise():
     """A planted overflow makes the stacked Gram form non-finite; the
     fast path must materialise, delegate the step to the event solver
-    (same per-pair fallback chain) and still match bit for bit."""
+    (same per-pair fallback) and still match bit for bit."""
     n, m = 16, 20
     rng = np.random.default_rng(3)
     a = rng.standard_normal((m, n))
