@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-batch test-sanitized lint lint-tools lint-schedules analyze bench bench-check bench-figures tune faults
+.PHONY: test test-batch test-sanitized lint lint-tools lint-schedules analyze bench bench-check bench-figures e2e e2e-trace tune faults
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -80,6 +80,15 @@ tune:
 # timed replays of the paper's figures/tables via pytest-benchmark
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# the end-to-end benchmark: five user workloads through the public API,
+# every op checked against LAPACK (bounds in BENCHMARK.json);
+# e2e-trace adds the per-layer span breakdown of each op
+e2e:
+	$(PYTHON) benchmarks/e2e/run.py --seconds 5 --trace 0
+
+e2e-trace:
+	$(PYTHON) benchmarks/e2e/run.py --seconds 5 --trace 1
 
 # the chaos gate: the registered single-fault campaign (fault kinds x
 # orderings, survival matrix, exit 1 on any casualty) plus the seeded

@@ -49,8 +49,13 @@ class BlockJacobiOptions:
     ``tol``
         Relative orthogonality threshold, as in the scalar driver.
     ``inner_sweeps``
-        Cyclic Jacobi sweeps applied to each met block pair (2 is enough
-        near convergence; the outer iteration absorbs the slack).
+        Bound on the cyclic Jacobi sweeps applied to each met block pair
+        (2 is enough near convergence; the outer iteration absorbs the
+        slack).  It bounds the ``reference`` kernel and the gram
+        kernel's inner loop for Grams outside the ``eigh`` gate; a Gram
+        inside the gate is solved by one LAPACK ``eigh`` whatever the
+        bound (see :mod:`repro.blockjacobi.kernel`).  The simulator's
+        cost model still charges ``inner_sweeps`` sweeps per pair.
     ``max_sweeps``
         Outer sweep bound.
     ``sort``

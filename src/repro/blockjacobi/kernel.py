@@ -12,18 +12,20 @@ blocks on.  Two interchangeable solvers are provided:
     solver every gram breakdown falls back to.
 
 ``gram``
-    BLAS-3: form the ``2b x 2b`` Gram matrix ``G = Y^T Y`` once, run the
-    inner cyclic Jacobi entirely on ``G`` while accumulating the
-    orthogonal factor ``W`` in ``2b x 2b`` space
-    (:func:`repro.eig.gram_eigh_batched`), then apply ``Y <- Y W`` and
-    ``V <- V W`` with single GEMMs.  ``inner_sweeps`` worth of strided
-    column updates collapse into two ``(m x 2b) @ (2b x 2b)`` matmuls
-    per pair, so the dominant cost is matrix-matrix work.  Because the
-    block pairs met in one schedule step have disjoint column sets, the
-    gram kernel solves *all* of them at once through
-    :func:`solve_block_step`: one stacked Gram form, one batched small
-    Jacobi, one stacked application — on a simulated machine this is
-    exactly the work the leaves do concurrently.
+    BLAS-3: form the ``2b x 2b`` Gram matrix ``G = Y^T Y`` once,
+    diagonalise it in ``2b x 2b`` space to get the orthogonal factor
+    ``W`` (:func:`repro.eig.gram_eigh_batched`), then apply ``Y <- Y W``
+    and ``V <- V W`` with single GEMMs.  A Gram whose diagonal spread
+    ``max G_ii / min G_ii`` is below :data:`repro.eig.jacobi.EIGH_GATE`
+    is solved by one stacked LAPACK ``eigh``; any other keeps the inner
+    cyclic Jacobi, bounded by ``inner_sweeps``.  Strided column updates
+    collapse into two ``(m x 2b) @ (2b x 2b)`` matmuls per pair, so the
+    dominant cost is matrix-matrix work.  Because the block pairs met in
+    one schedule step have disjoint column sets, the gram kernel solves
+    *all* of them at once through :func:`solve_block_step`: one stacked
+    Gram form, one batched inner solve, one stacked application — on a
+    simulated machine this is exactly the work the leaves do
+    concurrently.
 
 Accuracy note for ``gram``: forming and applying in Gram space is
 norm-wise backward stable, but the BLAS-3 application mixes all ``2b``
@@ -33,7 +35,13 @@ pairs directly, has no such floor).  The kernel therefore measures
 convergence against ``tol * ||y_i|| ||y_j|| + floor`` — singular values
 still match LAPACK to the suite's absolute tolerances, while the tiniest
 values keep only absolute (not relative) accuracy, the standard
-trade-off of blocked Jacobi (cf. arXiv:1401.2720).
+trade-off of blocked Jacobi (cf. arXiv:1401.2720).  LAPACK ``eigh``
+carries absolute eigenvector error, which costs column-scaled input its
+relative accuracy and stalls rank-deficient input; the gate sends those
+Grams to the cyclic loop, whose relative threshold does not.  The gram
+kernel's bits therefore depend on the LAPACK in use, and its contract is
+a tolerance against LAPACK's singular values; ``reference`` stays the
+oracle.
 """
 
 from __future__ import annotations
@@ -60,11 +68,12 @@ BLOCK_KERNELS = ("reference", "gram")
 #: ``(stage name, splittable)`` in execution order.  A splittable stage
 #: may be chunked over its batch/pair dimension (every chunk writes a
 #: disjoint slice); an unsplittable stage must run as one full-stack
-#: call — the gram kernel's inner Jacobi couples matrices across the
-#: batch through its convergence floor, so splitting it would change
-#: the rotation sequence and break the bit-identity contract.  The
-#: static executor-plan analyzer (:mod:`repro.verify.executor_plan`)
-#: proves each stage's chunking against this table (rule ``EXEC002``).
+#: call — the gram kernel's inner cyclic Jacobi couples the Grams
+#: outside the ``eigh`` gate across the batch through its convergence
+#: test, so splitting it would change the rotation sequence and break
+#: the bit-identity contract.  The static executor-plan analyzer
+#: (:mod:`repro.verify.executor_plan`) proves each stage's chunking
+#: against this table (rule ``EXEC002``).
 KERNEL_STAGES: dict[str, tuple[tuple[str, bool], ...]] = {
     "reference": (("pair-solve", True),),
     "gram": (("gram-form", True), ("gram-solve", False), ("gram-apply", True)),
@@ -128,12 +137,13 @@ def solve_block_step(
     ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
     spreads the step's independent work over worker threads: the gram
     kernel chunks only its gather/Gram-form and apply/scatter GEMM
-    phases — the inner Gram Jacobi stays one full-stack solve, because
-    its convergence floor couples matrices across the batch and
-    splitting it would change the rotation sequence — while the
-    reference kernel chunks the pair loop itself.  Either way the result
-    is bit-identical to the serial path for any worker count (see
-    :mod:`repro.parallel.executor` for the contract).
+    phases — the inner Gram solve stays one full-stack call, because
+    the cyclic loop's convergence test couples the Grams outside the
+    ``eigh`` gate across the batch and splitting it would change the
+    rotation sequence — while the reference kernel chunks the pair loop
+    itself.  Either way the result is bit-identical to the serial path
+    for any worker count (see :mod:`repro.parallel.executor` for the
+    contract).
 
     On :class:`~repro.util.errors.NumericalBreakdown` the step degrades
     gracefully: the pairs are re-solved one by one, each first with its
@@ -449,7 +459,7 @@ def _gram_factors(
     inner_sweeps: int,
     floor: np.ndarray,
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """Inner Gram Jacobi plus the sort convention — the factor half of
+    """Inner Gram solve plus the sort convention — the factor half of
     the gram kernel, shared by both execution paths.  Returns
     ``(W, rotations, tgt_arr)`` with ``W``'s columns already permuted to
     land each block's norms in target order (``tgt_arr`` the sorted
@@ -635,21 +645,22 @@ def _solve_gram_many(
 ) -> tuple[RotationStats, float]:
     """BLAS-3 Gram-space solve of a whole step's met pairs at once.
 
-    One stacked Gram form ``G_i = Y_i^T Y_i``, one batched small Jacobi
-    (:func:`repro.eig.gram_eigh_batched`), one stacked application
-    ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i`` — every flop is a batched
-    GEMM over the ``(nb, 2b, *)`` stack.
+    One stacked Gram form ``G_i = Y_i^T Y_i``, one batched inner solve
+    (:func:`repro.eig.gram_eigh_batched`: stacked LAPACK ``eigh`` inside
+    the gate, cyclic Jacobi outside it), one stacked application
+    ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i``.
 
     With an ``executor``, the two GEMM phases (gather/Gram-form and
     apply/scatter) are chunked over the batch dimension: each chunk
     gathers and writes only its own ``[lo:hi]`` slice of the
     preallocated stacks, and each 2D GEMM inside the batch is computed
     exactly as in the serial path, so the result is bit-identical for
-    any worker count.  The inner Jacobi between the phases is
-    deliberately one full-stack call: its convergence floor couples
-    matrices across the batch (a converged-by-floor block in a mixed
-    batch would receive extra rotations if batches were split), so
-    chunking it would break the determinism contract.
+    any worker count.  The inner solve between the phases is
+    deliberately one full-stack call: the cyclic loop's convergence
+    test couples the Grams outside the gate across the batch (a
+    converged-by-floor block in a mixed batch would receive extra
+    rotations if batches were split), so chunking it would break the
+    determinism contract.
     """
     stats = RotationStats()
     k = len(pair_cols[0])
@@ -728,9 +739,9 @@ def solve_block_step_batch(
     matrix alone**.  The gram kernel fuses the problem axis into its
     stacked GEMM phases — one ``(len(items) * n_pairs, 2b, m)``
     gather/Gram-form and one apply/scatter — while the inner Gram
-    Jacobi runs through :func:`repro.eig.gram_eigh_grouped` with one
-    *convergence group per problem*, so no problem's rotation sequence
-    ever depends on its batch neighbours.  The reference kernel loops
+    solve runs through :func:`repro.eig.gram_eigh_grouped` with one
+    *convergence group per problem*, so no problem's factors ever
+    depend on its batch neighbours.  The reference kernel loops
     over the items.  ``executor`` chunks the *batch axis* (items, not
     GEMM rows, are the unit of parallel work); chunks write disjoint
     ``Xs[i]`` slices and merge in chunk order, so any worker count
@@ -839,7 +850,7 @@ def _solve_gram_batch(
     """The gram kernel's problem-axis super-batch (see
     :func:`solve_block_step_batch`): :func:`_solve_gram_many` with the
     batch dimension extended from ``n_pairs`` to ``B x n_pairs`` and
-    every per-matrix decision (sort-only early exit, inner-Jacobi
+    every per-matrix decision (sort-only early exit, inner-solve
     convergence, breakdown delegation) taken per problem."""
     nm = items.size
     k = len(pair_cols[0])

@@ -12,6 +12,11 @@ permutations, so the tree-locality properties carry over unchanged.
 The kernels are vectorised over the disjoint pairs of a step: one fused
 row update and one fused column update per step instead of a Python
 loop over pairs.
+
+The Gram solvers behind the block kernel (:func:`gram_eigh_batched`,
+:func:`gram_eigh_grouped`) diagonalise stacks of small Gram matrices:
+one stacked LAPACK ``eigh`` for every matrix whose diagonal spread is
+below :data:`EIGH_GATE`, cyclic two-sided Jacobi for the rest.
 """
 
 from __future__ import annotations
@@ -23,12 +28,23 @@ import numpy as np
 
 from ..orderings.base import Ordering
 from ..orderings.registry import make_ordering
+from ..svd.rotations import _validate_sort
 from ..util.validation import require
 
-__all__ = ["EigOptions", "EigResult", "gram_eigh", "gram_eigh_batched",
-           "gram_eigh_grouped", "jacobi_eigh", "symmetric_off_norm"]
+__all__ = ["EIGH_GATE", "EigOptions", "EigResult", "gram_eigh",
+           "gram_eigh_batched", "gram_eigh_grouped", "jacobi_eigh",
+           "symmetric_off_norm"]
 
 _TINY = float(np.finfo(np.float64).tiny)
+
+#: largest diagonal spread ``max g_ii / min g_ii`` of a Gram matrix that
+#: :func:`gram_eigh_batched` hands to LAPACK ``eigh``; a wider spread
+#: keeps the cyclic loop, whose relative threshold keeps the relative
+#: accuracy ``eigh`` alone loses on column-scaled input
+EIGH_GATE = 1e8
+
+#: the LAPACK solver of the gated branch
+_lapack_eigh = np.linalg.eigh
 
 
 @dataclass(frozen=True)
@@ -38,6 +54,12 @@ class EigOptions:
     tol: float = 1e-12
     max_sweeps: int = 60
     sort: str | None = "desc"
+
+    def __post_init__(self) -> None:
+        # max_sweeps = 0 would return the input diagonal as eigenvalues
+        require(self.max_sweeps >= 1,
+                f"max_sweeps must be >= 1, got {self.max_sweeps!r}")
+        _validate_sort(self.sort)
 
 
 @dataclass
@@ -203,155 +225,105 @@ def _round_robin_steps(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(steps)
 
 
-def gram_eigh_batched(
-    g: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 60,
-    floor: np.ndarray | float = 0.0,
-) -> tuple[np.ndarray, int, int, bool]:
-    """Cyclic two-sided Jacobi on a *stack* of small symmetric matrices.
+def _lapack_vectors(gs: np.ndarray) -> np.ndarray:
+    """Eigenvectors (ascending eigenvalues) of the stack ``gs``.
 
-    The low-overhead core of the Gram-space block kernel
-    (:mod:`repro.blockjacobi.kernel`): ``g`` of shape ``(B, k, k)`` —
-    typically the ``2b x 2b`` Gram matrices of all block pairs met in one
-    schedule step — is overwritten **in place** with ``W^T g W`` while
-    the orthogonal factors ``W`` (one per matrix) are accumulated.  The
-    ``B`` sub-problems are independent (their column sets are disjoint),
-    so each round-robin step rotates all of them at once: the rotation
-    angles are computed on ``(B, k/2)`` arrays and applied as one batched
-    ``(B, k, k)`` GEMM per side, which is what makes the block kernel
-    BLAS-3 end to end.
-
-    A pair is rotated when it fails the *relative* threshold
-    ``|g_pq| > tol * sqrt(g_pp g_qq)``; pairs below it ride along with
-    exact identity rotations.  The sweep loop exits early once every
-    pair of every matrix satisfies
-    ``|g_pq| <= tol * sqrt(g_pp g_qq) + floor``.  ``floor`` (scalar or
-    per-matrix array) absorbs the Gram-formation noise a block kernel
-    cannot rotate below (``~ k * eps * max(g_ii)`` after each BLAS-3
-    application); ``floor = 0`` demands full relative orthogonality as
-    the one-sided reference kernel does.
-
-    Returns ``(W, rotations, sweeps, converged)`` with ``W`` of shape
-    ``(B, k, k)`` and ``rotations`` summed over the stack; the final
-    squared column norms are the diagonals of ``g`` after the call.
+    LAPACK refuses a whole stack when any one matrix fails to converge;
+    the stack is then solved one matrix at a time and every matrix that
+    still fails gets a NaN factor — the non-finite-``W`` breakdown
+    signal the block kernels already handle.
     """
-    require(g.ndim == 3 and g.shape[1] == g.shape[2],
-            "stack of square matrices expected")
-    nb, k = g.shape[0], g.shape[1]
-    require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
-    fdiv = np.asarray(floor, dtype=np.float64).reshape(-1, 1) / tol \
-        if tol > 0.0 else np.zeros((1, 1))
-    steps = _round_robin_steps(k)
-    eye = np.eye(k)
-    # J is rebuilt per step: every step pairs all k indices, so the
-    # diagonal is fully overwritten; only the off-diagonal entries of
-    # the *previous* step need clearing (done after each use)
-    J = np.broadcast_to(eye, g.shape).copy()
-    W = np.broadcast_to(eye, g.shape).copy()
-    Wbuf = np.empty_like(W)
-    tmp = np.empty_like(g)
-    rotations = 0
-    sweeps = 0
-    converged = False
-    for sweep in range(max_sweeps):
-        worst = 0.0
-        for p, q in steps:
-            gpp = g[:, p, p]
-            gqq = g[:, q, q]
-            gpq = g[:, p, q]
-            denom = np.sqrt(np.abs(gpp * gqq))
-            rel = np.abs(gpq) / np.maximum(denom + fdiv, _TINY)
-            worst = max(worst, float(rel.max(initial=0.0)))
-            hits = (np.abs(gpq) > tol * denom) & (denom > 0.0)
-            nhits = int(np.count_nonzero(hits))
-            if nhits == 0:
-                continue
-            rotations += nhits
-            safe = np.where(gpq == 0.0, 1.0, gpq)
-            theta = (gqq - gpp) / (2.0 * safe)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-            t = np.where(theta == 0.0, 1.0, t)
-            t = np.where(hits, t, 0.0)  # identity for pairs below threshold
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            J[:, p, p] = c
-            J[:, q, q] = c
-            J[:, p, q] = s
-            J[:, q, p] = -s
-            np.matmul(g, J, out=tmp)
-            np.matmul(J.transpose(0, 2, 1), tmp, out=g)
-            np.matmul(W, J, out=Wbuf)
-            W, Wbuf = Wbuf, W
-            J[:, p, q] = 0.0
-            J[:, q, p] = 0.0
-        sweeps = sweep + 1
-        if worst <= tol:
-            converged = True
-            break
-    return W, rotations, sweeps, converged
+    try:
+        return _lapack_eigh(gs)[1]
+    except np.linalg.LinAlgError:
+        V = np.full_like(gs, np.nan)
+        for i in range(len(gs)):
+            try:
+                V[i] = _lapack_eigh(gs[i])[1]
+            except np.linalg.LinAlgError:
+                pass
+        return V
 
 
-def gram_eigh_grouped(
-    g: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 60,
-    floor: np.ndarray | float = 0.0,
-    group_size: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gram_eigh_batched` with *independent convergence per group*.
-
-    The stack ``g`` of ``G * group_size`` small symmetric matrices is
-    treated as ``G`` consecutive groups of ``group_size`` matrices each
-    — in the batched SVD, one group is the set of block pairs one
-    *problem matrix* meets in a schedule step.  Each group's sweep loop
-    exits as soon as *its own* worst relative off-diagonal clears
-    ``tol`` (the per-group analogue of the global early exit), and a
-    finished group takes no further part in the iteration: its matrices
-    are excluded from the gathered working stack, so the arithmetic any
-    single group experiences is bit-identical to a standalone
-    :func:`gram_eigh_batched` call on just that group.  That is the
-    property the many-matrix batch API's conformance contract rests on
-    — fusing problems into one super-batch must not change any
-    problem's rotation sequence.
-
-    Returns ``(W, rotations, sweeps, converged)`` where ``W`` is the
-    full ``(G * group_size, k, k)`` stack of accumulated factors and the
-    other three are per-group arrays of shape ``(G,)``.
+def _solve_gated(g: np.ndarray, W: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The LAPACK branch of :func:`gram_eigh_batched`: every matrix of
+    the stack inside the gate gets its rank-matched, sign-fixed ``W``
+    and ``g <- W^T g W`` in place, from one stacked ``eigh``.  Returns
+    the gate mask and the per-matrix rotation count (the pairs above
+    the relative threshold on entry; zero outside the gate).
     """
-    require(g.ndim == 3 and g.shape[1] == g.shape[2],
-            "stack of square matrices expected")
     nb, k = g.shape[0], g.shape[1]
-    require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
-    require(group_size >= 1 and nb % group_size == 0,
-            f"stack of {nb} matrices does not divide into groups "
-            f"of {group_size}")
-    ngroups = nb // group_size
+    d = np.diagonal(g, axis1=1, axis2=2)
+    dmin = d.min(axis=1, initial=np.inf)
+    gated = (dmin > 0.0) & (d.max(axis=1, initial=0.0) < EIGH_GATE * dmin)
+    rotations = np.zeros(nb, dtype=np.intp)
+    idx = np.flatnonzero(gated)
+    if idx.size == 0:
+        return gated, rotations
+    gs = g[idx]
+    ds = d[idx]
+    i0, i1 = np.triu_indices(k, 1)
+    rotations[idx] = np.count_nonzero(
+        np.abs(gs[:, i0, i1]) > tol * np.sqrt(ds[:, i0] * ds[:, i1]), axis=1)
+    V = _lapack_vectors(gs)
+    # the eigenvector of the j-th smallest eigenvalue goes to the slot of
+    # the j-th smallest g_ii, signed so diag(W) >= 0: W -> I as g
+    # becomes diagonal
+    slot = np.argsort(ds, axis=1, kind="stable")
+    Ws = np.take_along_axis(V, np.argsort(slot, axis=1)[:, None, :], axis=2)
+    Ws *= np.where(np.diagonal(Ws, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    W[idx] = Ws
+    g[idx] = np.matmul(Ws.transpose(0, 2, 1), np.matmul(gs, Ws))
+    return gated, rotations
+
+
+def _cyclic_sweeps(
+    g: np.ndarray,
+    W: np.ndarray,
+    rotations: np.ndarray,
+    members: np.ndarray,
+    group: np.ndarray,
+    ngroups: int,
+    tol: float,
+    max_sweeps: int,
+    floor: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic two-sided Jacobi on the matrices ``members`` of the stack.
+
+    ``g[members]`` is overwritten with ``W^T g W``, the rotations are
+    accumulated into ``W[members]`` and counted per matrix in
+    ``rotations``.  ``group[i]`` names the convergence group of
+    ``members[i]``; each group stops sweeping once *its own* worst
+    relative off-diagonal clears ``tol`` and is then left out of the
+    gathered working stack.  Every step's rotation angles come from
+    ``(B, k/2)`` arrays and are applied as one batched ``(B, k, k)`` GEMM
+    per side, so a matrix's arithmetic depends only on its own group.
+    Returns per-group ``(sweeps, converged)``.
+    """
+    nb, k = g.shape[0], g.shape[1]
     if tol > 0.0:
-        fdiv = np.asarray(floor, dtype=np.float64).reshape(-1, 1) / tol
-        if fdiv.shape[0] == 1:
-            fdiv = np.broadcast_to(fdiv, (nb, 1))
+        fdiv = np.broadcast_to(
+            np.asarray(floor, dtype=np.float64).reshape(-1, 1) / tol, (nb, 1))
     else:
         fdiv = np.zeros((nb, 1))
     steps = _round_robin_steps(k)
     eye = np.eye(k)
-    W = np.broadcast_to(eye, g.shape).copy()
-    rotations = np.zeros(ngroups, dtype=np.intp)
     sweeps = np.zeros(ngroups, dtype=np.intp)
     converged = np.zeros(ngroups, dtype=bool)
-    active = np.arange(ngroups, dtype=np.intp)
-    offsets = np.arange(group_size, dtype=np.intp)
+    live = np.ones(members.size, dtype=bool)
     for _ in range(max_sweeps):
-        if active.size == 0:
+        if not live.any():
             break
-        idx = (active[:, None] * group_size + offsets).reshape(-1)
+        idx = members[live]
+        own = group[live]
         ga = g[idx]
         Wa = W[idx]
         fa = fdiv[idx]
         Ja = np.broadcast_to(eye, ga.shape).copy()
         tmp = np.empty_like(ga)
         Wbuf = np.empty_like(Wa)
-        worst = np.zeros(len(idx))
+        worst = np.zeros(idx.size)
         for p, q in steps:
             gpp = ga[:, p, p]
             gqq = ga[:, q, q]
@@ -360,10 +332,9 @@ def gram_eigh_grouped(
             rel = np.abs(gpq) / np.maximum(denom + fa, _TINY)
             worst = np.maximum(worst, rel.max(axis=1))
             hits = (np.abs(gpq) > tol * denom) & (denom > 0.0)
-            nhits = int(np.count_nonzero(hits))
-            if nhits == 0:
+            if not hits.any():
                 continue
-            rotations[active] += hits.reshape(active.size, -1).sum(axis=1)
+            rotations[idx] += hits.sum(axis=1)
             safe = np.where(gpq == 0.0, 1.0, gpq)
             theta = (gqq - gpp) / (2.0 * safe)
             t = np.sign(theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
@@ -383,11 +354,137 @@ def gram_eigh_grouped(
             Ja[:, q, p] = 0.0
         g[idx] = ga
         W[idx] = Wa
+        active = np.zeros(ngroups, dtype=bool)
+        active[own] = True
+        unsettled = np.zeros(ngroups, dtype=bool)
+        unsettled[own[worst > tol]] = True
         sweeps[active] += 1
-        done = worst.reshape(active.size, group_size).max(axis=1) <= tol
-        converged[active[done]] = True
-        active = active[~done]
-    return W, rotations, sweeps, converged
+        converged |= active & ~unsettled
+        live = ~converged[group]
+    return sweeps, converged
+
+
+def _gram_solve(
+    g: np.ndarray,
+    tol: float,
+    max_sweeps: int,
+    floor: np.ndarray | float,
+    group_size: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The body of both public Gram solvers: the gated ``eigh`` per
+    matrix, then the cyclic loop on the rest, with one convergence group
+    per ``group_size`` consecutive matrices (``None``: the whole stack).
+    Returns ``W`` and per-group ``(rotations, sweeps, converged)``; a
+    group with no matrix outside the gate reports one sweep, converged."""
+    require(g.ndim == 3 and g.shape[1] == g.shape[2],
+            "stack of square matrices expected")
+    nb, k = g.shape[0], g.shape[1]
+    require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
+    if group_size is None:
+        ngroups = 1
+    else:
+        require(group_size >= 1 and nb % group_size == 0,
+                f"stack of {nb} matrices does not divide into groups "
+                f"of {group_size}")
+        ngroups = nb // group_size
+    size = nb // max(ngroups, 1)
+    group = np.arange(nb, dtype=np.intp) // max(size, 1)
+    W = np.broadcast_to(np.eye(k), g.shape).copy()
+    gated, rotations = _solve_gated(g, W, tol)
+    loop = np.flatnonzero(~gated)
+    sweeps, converged = _cyclic_sweeps(g, W, rotations, loop, group[loop],
+                                       ngroups, tol, max_sweeps, floor)
+    looped = np.zeros(ngroups, dtype=bool)
+    looped[group[loop]] = True
+    sweeps[~looped] = 1
+    converged[~looped] = True
+    return W, rotations.reshape(ngroups, size).sum(axis=1), sweeps, converged
+
+
+def gram_eigh_batched(
+    g: np.ndarray,
+    tol: float = 1e-12,
+    max_sweeps: int = 60,
+    floor: np.ndarray | float = 0.0,
+) -> tuple[np.ndarray, int, int, bool]:
+    """Diagonalise a *stack* of small symmetric matrices in place.
+
+    The inner solve of the Gram-space block kernel
+    (:mod:`repro.blockjacobi.kernel`): ``g`` of shape ``(B, k, k)`` —
+    typically the ``2b x 2b`` Gram matrices of all block pairs met in one
+    schedule step — is overwritten **in place** with ``W^T g W`` while
+    the orthogonal factors ``W`` (one per matrix) are built.  The ``B``
+    sub-problems are independent (their column sets are disjoint).
+
+    Each matrix takes one of two solvers, gated by its diagonal spread:
+
+    * inside the gate (``min g_ii > 0`` and ``max g_ii < EIGH_GATE *
+      min g_ii``) one stacked LAPACK ``eigh`` solves it.  Its
+      eigenvectors are rank-matched to the diagonal (the eigenvector of
+      the ``j``-th smallest eigenvalue goes to the slot of the ``j``-th
+      smallest ``g_ii``, stable ties) and signed so ``diag(W) >= 0``,
+      which makes ``W -> I`` as ``g`` becomes diagonal.  Such a matrix
+      counts as ``rotations`` the pairs with
+      ``|g_pq| > tol * sqrt(g_pp g_qq)`` on entry, one sweep, and
+      converged.
+    * outside it (column-scaled or vanishing columns, where ``eigh``
+      alone loses relative accuracy or stalls) cyclic two-sided Jacobi
+      rotates every pair that fails the *relative* threshold
+      ``|g_pq| > tol * sqrt(g_pp g_qq)``; pairs below it ride along
+      with exact identity rotations.  The loop exits once every pair of
+      every loop matrix satisfies
+      ``|g_pq| <= tol * sqrt(g_pp g_qq) + floor``, or after
+      ``max_sweeps`` sweeps.  ``floor`` (scalar or per-matrix array)
+      absorbs the Gram-formation noise a block kernel cannot rotate
+      below (``~ k * eps * max(g_ii)`` after each BLAS-3 application);
+      ``floor = 0`` demands full relative orthogonality as the
+      one-sided reference kernel does.
+
+    A matrix LAPACK fails on gets a NaN ``W`` (the kernels' breakdown
+    signal) instead of an exception.
+
+    Returns ``(W, rotations, sweeps, converged)`` with ``W`` of shape
+    ``(B, k, k)`` and ``rotations`` summed over the stack; ``sweeps``
+    and ``converged`` are the loop's, or ``1`` and ``True`` when every
+    matrix is inside the gate.  The final squared column norms are the
+    diagonals of ``g`` after the call.
+    """
+    W, rotations, sweeps, converged = _gram_solve(g, tol, max_sweeps,
+                                                  floor, None)
+    return W, int(rotations[0]), int(sweeps[0]), bool(converged[0])
+
+
+def gram_eigh_grouped(
+    g: np.ndarray,
+    tol: float = 1e-12,
+    max_sweeps: int = 60,
+    floor: np.ndarray | float = 0.0,
+    group_size: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gram_eigh_batched` with *independent convergence per group*.
+
+    The stack ``g`` of ``G * group_size`` small symmetric matrices is
+    treated as ``G`` consecutive groups of ``group_size`` matrices each
+    — in the batched SVD, one group is the set of block pairs one
+    *problem matrix* meets in a schedule step.  The gate and the stacked
+    LAPACK ``eigh`` act per matrix exactly as in
+    :func:`gram_eigh_batched`.  The cyclic loop then runs on the
+    matrices outside the gate, and each group's loop exits as soon as
+    the worst relative off-diagonal of *its own* loop matrices clears
+    ``tol``; a finished group is excluded from the gathered working
+    stack.  A group whose matrices all passed the gate skips the loop
+    and reports one sweep, converged.  So the arithmetic any single
+    group experiences is bit-identical to a standalone
+    :func:`gram_eigh_batched` call on just that group.  That is the
+    property the many-matrix batch API's conformance contract rests on
+    — fusing problems into one super-batch must not change any
+    problem's result.
+
+    Returns ``(W, rotations, sweeps, converged)`` where ``W`` is the
+    full ``(G * group_size, k, k)`` stack of factors and the other three
+    are per-group arrays of shape ``(G,)``.
+    """
+    return _gram_solve(g, tol, max_sweeps, floor, group_size)
 
 
 def gram_eigh(

@@ -29,9 +29,9 @@ rules make that hold by construction:
 2. *Identical per-item arithmetic.*  Chunking only splits the batch
    dimension of batched GEMMs (each 2D GEMM in the batch is unchanged)
    or the loop over independent pairs; no floating-point operation is
-   reassociated.  Coupled reductions — notably the inner Gram Jacobi,
-   whose convergence floor couples matrices across the batch — are
-   *never* chunked (see
+   reassociated.  Coupled reductions — notably the inner Gram solve,
+   whose cyclic loop's convergence test couples the Grams outside the
+   ``eigh`` gate across the batch — are *never* chunked (see
    :func:`repro.blockjacobi.kernel.solve_block_step`).
 3. *Deterministic reduction.*  Convergence statistics are merged in
    chunk order, and the first exception (by chunk index, not by wall

@@ -15,7 +15,9 @@ import pytest
 
 
 def pytest_report_header(config) -> list[str]:
-    """Surface the executor the suite runs under (env-driven default)."""
+    """Surface the executor the suite runs under (env-driven default),
+    and numpy's version and BLAS/LAPACK: the gram kernel's inner solve
+    comes from LAPACK, so a bitwise failure must name the library."""
     from repro.parallel.executor import default_executor_name, default_workers
 
     name = default_executor_name()
@@ -24,7 +26,25 @@ def pytest_report_header(config) -> list[str]:
         line += f" (workers={default_workers()})"
     if "REPRO_EXECUTOR" in os.environ or "REPRO_WORKERS" in os.environ:
         line += "  [from environment]"
-    return [line]
+    return [line, _numpy_line()]
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
+    """Repeat the numpy/BLAS line under a failing run: the configured
+    ``-q`` hides the report header, as in CI."""
+    if exitstatus != 0:
+        terminalreporter.write_line(_numpy_line())
+
+
+def _numpy_line() -> str:
+    try:  # mode="dicts" arrived in numpy 1.26
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = ", ".join(f"{lib} {deps[lib].get('name', '?')} "
+                         f"{deps[lib].get('version', '?')}"
+                         for lib in ("blas", "lapack"))
+    except (TypeError, KeyError):
+        libs = "BLAS/LAPACK unknown"
+    return f"numpy {np.__version__}: {libs}"
 
 
 @pytest.fixture

@@ -107,6 +107,8 @@ class TestBatchConformance:
             assert_results_identical(a[i], b[i])
 
     def test_nonconverged_items_match_loop(self, rng):
+        import warnings
+
         from repro import BlockJacobiOptions
         from repro.util.errors import ConvergenceWarning
 
@@ -116,8 +118,29 @@ class TestBatchConformance:
             batch = svd_batch(stack, ordering="ring_new", options=opts)
         assert not batch.converged
         for i in range(len(stack)):
-            with pytest.warns(ConvergenceWarning):
+            # a solo run warns exactly when its batch item did not converge
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 solo = svd(stack[i], ordering="ring_new", options=opts)
+            warned = any(issubclass(w.category, ConvergenceWarning)
+                         for w in caught)
+            assert warned == (not batch[i].converged)
+            assert_results_identical(batch[i], solo)
+
+    def test_lapack_failure_items_match_loop(self, rng, monkeypatch):
+        # a LAPACK eigh that never converges sends every pair of both
+        # paths to the guarded reference solver, with the same bits
+        import repro.eig.jacobi as jac
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(jac, "_lapack_eigh", refuse)
+        stack = make_mixed_batch(16, rng)
+        batch = svd_batch(stack, kernel="gram", block_size=4)
+        assert batch.converged
+        for i in range(len(stack)):
+            solo = svd(stack[i], kernel="gram", block_size=4)
             assert_results_identical(batch[i], solo)
 
 

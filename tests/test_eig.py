@@ -10,6 +10,7 @@ from repro.eig import (
     jacobi_eigh,
     symmetric_off_norm,
 )
+from repro.eig.jacobi import EIGH_GATE, gram_eigh_grouped
 
 ORDERINGS = ["fat_tree", "round_robin", "ring_new", "odd_even", "hybrid"]
 
@@ -97,6 +98,16 @@ class TestValidationAndBehaviour:
         r = jacobi_eigh(a, options=EigOptions(max_sweeps=1))
         assert r.sweeps == 1 and not r.converged
 
+    def test_zero_sweep_budget_rejected(self):
+        # max_sweeps=0 used to return the input diagonal as eigenvalues
+        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+            EigOptions(max_sweeps=0)
+
+    def test_unknown_sort_rejected(self):
+        # an unknown sort used to return unsorted w with converged=True
+        with pytest.raises(ValueError, match="sort must be one of"):
+            EigOptions(sort="up")
+
     def test_compute_v_false(self, rng):
         a = random_symmetric(8, rng)
         r = jacobi_eigh(a, compute_v=False)
@@ -128,8 +139,19 @@ def random_gram(k, rng):
     return y.T @ y
 
 
+def scaled_gram(k, rng):
+    """A Gram matrix outside the eigh gate: columns scaled by
+    ``logspace(0, -6)`` spread its diagonal by about 1e12."""
+    y = rng.standard_normal((k + 4, k)) * np.logspace(0, -6, k)
+    g = y.T @ y
+    d = np.diag(g)
+    assert d.max() > EIGH_GATE * d.min()
+    return g
+
+
 class TestGramEigh:
-    """The in-place cyclic solver behind the gram block kernel."""
+    """The in-place solver behind the gram block kernel (a random Gram
+    takes its LAPACK branch, a ``scaled_gram`` its cyclic loop)."""
 
     def test_diagonalizes_and_matches_eigh(self, rng):
         g = random_gram(8, rng)
@@ -170,7 +192,7 @@ class TestGramEigh:
         # the floor enters only the convergence measure, never the
         # (purely relative) rotation threshold: a dominant floor makes
         # the solver settle after a single sweep while still rotating
-        g = random_gram(12, rng)
+        g = scaled_gram(12, rng)
         base_sweeps = gram_eigh(g.copy())[2]
         assert base_sweeps > 1
         _, rotations, sweeps, converged = gram_eigh(g, floor=1e6)
@@ -188,6 +210,90 @@ class TestGramEigh:
             assert np.max(np.abs(off)) <= 1e-10 * np.max(np.diag(gs[i]))
 
     def test_sweep_budget_reports_not_converged(self, rng):
-        g = random_gram(12, rng)
+        g = scaled_gram(12, rng)
         _, _, sweeps, converged = gram_eigh(g, max_sweeps=1)
         assert sweeps == 1 and not converged
+
+    def test_grouped_groups_converge_independently(self, rng):
+        # a group settled by its floor stops sweeping while its neighbour
+        # goes on: each group's bits equal a standalone batched call
+        gs = np.stack([scaled_gram(8, rng), scaled_gram(8, rng)])
+        floor = np.array([1e6, 0.0])
+        solo = [gram_eigh_batched(gs[i:i + 1].copy(), floor=floor[i:i + 1])
+                for i in range(2)]
+        W, rotations, sweeps, converged = gram_eigh_grouped(
+            gs, floor=floor, group_size=1)
+        assert solo[0][2] == 1 < solo[1][2]
+        for i, (Wi, ri, si, ci) in enumerate(solo):
+            assert np.array_equal(W[i], Wi[0])
+            assert (rotations[i], sweeps[i], converged[i]) == (ri, si, ci)
+
+
+class TestGramEighGate:
+    """The LAPACK branch taken by Grams whose diagonal spread is small."""
+
+    def test_solves_in_one_sweep(self, rng):
+        g = random_gram(16, rng)
+        gmax = np.max(np.diag(g))
+        W, rotations, sweeps, converged = gram_eigh(g)
+        assert converged and sweeps == 1 and rotations > 0
+        off = g - np.diag(np.diag(g))
+        assert np.max(np.abs(off)) <= 1e-11 * gmax
+        assert np.max(np.abs(W.T @ W - np.eye(16))) <= 1e-13
+
+    def test_near_diagonal_input_gives_near_identity(self, rng):
+        # a permuted, well-separated diagonal plus a tiny symmetric
+        # perturbation: the rank-match puts each eigenvector in its own
+        # diagonal slot and the sign-fix keeps it positive, so W stays
+        # within O(offdiag) of I (unmatched or unsigned, it would not)
+        k = 12
+        eps = 1e-6
+        e = rng.standard_normal((k, k))
+        g = np.diag(rng.permutation(np.arange(1.0, k + 1.0))) \
+            + eps * (e + e.T) / 2.0
+        W, *_ = gram_eigh(g)
+        assert np.max(np.abs(W - np.eye(k))) <= 10 * eps
+
+    def test_rotations_count_pairs_above_threshold_on_entry(self):
+        g = np.diag(np.arange(1.0, 9.0))
+        for p, q, v in ((0, 1, 0.1), (2, 5, 0.3), (3, 4, 1e-14)):
+            g[p, q] = g[q, p] = v
+        # (3, 4) sits below 1e-12 * sqrt(4 * 5): two pairs count
+        _, rotations, sweeps, converged = gram_eigh(g)
+        assert rotations == 2 and sweeps == 1 and converged
+
+    def test_mixed_stack_matches_solo_bitwise(self, rng):
+        # one matrix on each side of the gate: each W (and rotated g)
+        # equals the one its matrix gets when solved alone
+        gs = np.stack([random_gram(12, rng), scaled_gram(12, rng)])
+        solo = [gram_eigh(g.copy()) for g in gs]
+        grouped_in = gs.copy()
+        Ws, rotations, _, _ = gram_eigh_batched(gs)
+        Wg, rot_g, sweeps_g, conv_g = gram_eigh_grouped(grouped_in,
+                                                        group_size=1)
+        assert rotations == solo[0][1] + solo[1][1]
+        for i, (Wi, ri, si, ci) in enumerate(solo):
+            assert np.array_equal(Ws[i], Wi)
+            assert np.array_equal(Wg[i], Wi)
+            assert (rot_g[i], sweeps_g[i], conv_g[i]) == (ri, si, ci)
+        assert np.array_equal(gs, grouped_in)
+
+    def test_lapack_failure_gives_nan_factor(self, rng, monkeypatch):
+        # LAPACK refuses a whole stack when one matrix fails; only that
+        # matrix may lose its factor, the others keep their solo bits
+        import repro.eig.jacobi as jac
+
+        bad = random_gram(8, rng)
+        good = random_gram(8, rng)
+        lapack = jac._lapack_eigh
+
+        def eigh(a):
+            if any(np.array_equal(m, bad) for m in a.reshape(-1, 8, 8)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return lapack(a)
+
+        want, *_ = gram_eigh(good.copy())
+        monkeypatch.setattr(jac, "_lapack_eigh", eigh)
+        Ws, *_ = gram_eigh_batched(np.stack([good, bad]))
+        assert np.array_equal(Ws[0], want)
+        assert np.isnan(Ws[1]).all()
