@@ -296,8 +296,9 @@ def block_jacobi_svd_batch(
     sweeps.  Results are **bit-identical** to calling
     :func:`block_jacobi_svd` on each slice with the same options.
 
-    The executor (when ``workers > 1``) chunks the *batch axis*: items,
-    not GEMM rows, are the unit of parallel work.  With the sanitizer
+    The executor (when ``workers > 1``) chunks the step's GEMM phases
+    over the fused (item, block pair) rows, the rule a single matrix's
+    step follows over its pairs.  With the sanitizer
     armed, each item gets its own sweep-boundary canaries (SAN002/003);
     the per-step write-set protocol (SAN001) covers the solo path and is
     not armed here — the batch path is instead pinned to the solo path

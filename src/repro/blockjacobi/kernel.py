@@ -14,18 +14,25 @@ blocks on.  Two interchangeable solvers are provided:
 ``gram``
     BLAS-3: form the ``2b x 2b`` Gram matrix ``G = Y^T Y`` once,
     diagonalise it in ``2b x 2b`` space to get the orthogonal factor
-    ``W`` (:func:`repro.eig.gram_eigh_batched`), then apply ``Y <- Y W``
+    ``W`` (:func:`repro.eig.gram_eigh_grouped`), then apply ``Y <- Y W``
     and ``V <- V W`` with single GEMMs.  A Gram whose diagonal spread
     ``max G_ii / min G_ii`` is below :data:`repro.eig.jacobi.EIGH_GATE`
     is solved by one stacked LAPACK ``eigh``; any other keeps the inner
     cyclic Jacobi, bounded by ``inner_sweeps``.  Strided column updates
     collapse into two ``(m x 2b) @ (2b x 2b)`` matmuls per pair, so the
-    dominant cost is matrix-matrix work.  Because the block pairs met in
-    one schedule step have disjoint column sets, the gram kernel solves
-    *all* of them at once through :func:`solve_block_step`: one stacked
-    Gram form, one batched inner solve, one stacked application — on a
-    simulated machine this is exactly the work the leaves do
-    concurrently.
+    dominant cost is matrix-matrix work.
+
+One step body serves both public entries.  It runs over a ``(B, m, n)``
+stack of problem matrices: the block pairs met in one schedule step have
+disjoint column sets, so every met pair of every matrix still iterating
+is one row of one stacked Gram form, one grouped inner solve (one
+convergence group per matrix) and one stacked application — on a
+simulated machine this is exactly the work the leaves do concurrently.
+:func:`solve_block_step` runs the body as a batch of one matrix and
+:func:`solve_block_step_batch` as it is, so both give the same bits
+for the same matrix.  The simulator fast path
+(:func:`fastpath_gram_step`) keeps its own transposed row storage but
+shares the body's measure, factor and sort-exchange helpers.
 
 Accuracy note for ``gram``: forming and applying in Gram space is
 norm-wise backward stable, but the BLAS-3 application mixes all ``2b``
@@ -46,18 +53,16 @@ oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from dataclasses import astuple, fields
 import numpy as np
 
-from ..eig.jacobi import gram_eigh_batched, gram_eigh_grouped
+from ..eig.jacobi import _triu_cache, gram_eigh_grouped
 from ..svd.rotations import RotationStats, apply_step_rotations
 from ..util.errors import NumericalBreakdown
 from ..util.validation import require
 
 __all__ = ["BLOCK_KERNELS", "GRAM_NOISE", "KERNEL_STAGES",
-           "fastpath_gram_flush", "fastpath_gram_step", "solve_block_pair",
-           "solve_block_step",
+           "fastpath_gram_flush", "fastpath_gram_step", "solve_block_step",
            "solve_block_step_batch"]
 
 #: registered block-pair kernels; ``gram`` is the BLAS-3 fast path and
@@ -66,14 +71,14 @@ BLOCK_KERNELS = ("reference", "gram")
 
 #: declarative stage structure of each kernel under the step executor:
 #: ``(stage name, splittable)`` in execution order.  A splittable stage
-#: may be chunked over its batch/pair dimension (every chunk writes a
-#: disjoint slice); an unsplittable stage must run as one full-stack
-#: call — the gram kernel's inner cyclic Jacobi couples the Grams
-#: outside the ``eigh`` gate across the batch through its convergence
-#: test, so splitting it would change the rotation sequence and break
-#: the bit-identity contract.  The static executor-plan analyzer
-#: (:mod:`repro.verify.executor_plan`) proves each stage's chunking
-#: against this table (rule ``EXEC002``).
+#: may be chunked over its rows — the met pairs of the step, one row per
+#: pair and matrix — and every chunk writes a disjoint slice; an
+#: unsplittable stage must run as one full-stack call — the gram
+#: kernel's inner cyclic Jacobi couples a matrix's Grams outside the
+#: ``eigh`` gate through its convergence test, so splitting it would
+#: change the rotation sequence and break the bit-identity contract.
+#: The static executor-plan analyzer (:mod:`repro.verify.executor_plan`)
+#: proves each stage's chunking against this table (rule ``EXEC002``).
 KERNEL_STAGES: dict[str, tuple[tuple[str, bool], ...]] = {
     "reference": (("pair-solve", True),),
     "gram": (("gram-form", True), ("gram-solve", False), ("gram-apply", True)),
@@ -91,27 +96,16 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 _SORT_MODES = ("desc", "asc", None)
 
+#: the step body's per-matrix counters: one column per
+#: :class:`~repro.svd.rotations.RotationStats` field, in field order
+_COUNTERS = tuple(f.name for f in fields(RotationStats))
+_APPLIED = _COUNTERS.index("applied")
+_EXCHANGED = _COUNTERS.index("exchanged")
 
-def solve_block_pair(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    cols: np.ndarray,
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-    kernel: str = "gram",
-) -> tuple[RotationStats, float]:
-    """Orthogonalise the ``2b`` columns ``cols`` of ``X`` against each other.
-
-    ``X`` (and ``V``) are modified in place.  Returns the rotation
-    counters and the worst relative off-diagonal observed at first touch
-    — the outer driver's convergence signal.  With ``sort`` set, the
-    local solve leaves norms ordered along ascending column index
-    (larger norms at smaller indices for ``"desc"``), the convention
-    that makes sorted output emerge at block granularity.
-    """
-    return solve_block_step(X, V, [np.asarray(cols, dtype=np.intp)],
-                            tol, sort, inner_sweeps, kernel)
+#: the item list of a batch of one, and the empty item list
+_SOLO = np.zeros(1, dtype=np.intp)
+_NO_ITEMS = np.zeros(0, dtype=np.intp)
+_SOLO.flags.writeable = _NO_ITEMS.flags.writeable = False
 
 
 def solve_block_step(
@@ -131,29 +125,35 @@ def solve_block_step(
     pair (a list of arrays or one ``(n_pairs, 2b)`` array); the sets are
     disjoint (the pairs run on distinct leaves), so the local solves are
     independent and the gram kernel batches them into stacked BLAS-3
-    calls.  Returns merged rotation counters and the worst first-touch
-    relative off-diagonal across all pairs.
+    calls.  ``X`` (and ``V``) are modified in place.  Returns merged
+    rotation counters and the worst first-touch relative off-diagonal
+    across all pairs — the outer driver's convergence signal.  With
+    ``sort`` set, each local solve leaves norms ordered along ascending
+    column index (larger norms at smaller indices for ``"desc"``), the
+    convention that makes sorted output emerge at block granularity.
+    The step runs the shared step body as a batch of one matrix, so it
+    gives the bits :func:`solve_block_step_batch` gives that matrix.
 
     ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
     spreads the step's independent work over worker threads: the gram
     kernel chunks only its gather/Gram-form and apply/scatter GEMM
-    phases — the inner Gram solve stays one full-stack call, because
-    the cyclic loop's convergence test couples the Grams outside the
-    ``eigh`` gate across the batch and splitting it would change the
-    rotation sequence — while the reference kernel chunks the pair loop
-    itself.  Either way the result is bit-identical to the serial path
-    for any worker count (see :mod:`repro.parallel.executor` for the
-    contract).
+    phases over the step's pairs — the inner Gram solve stays one
+    full-stack call, because the cyclic loop's convergence test couples
+    the Grams outside the ``eigh`` gate and splitting it would change
+    the rotation sequence — while the reference kernel chunks the pair
+    loop itself.  Either way the result is bit-identical to the serial
+    path for any worker count (see :mod:`repro.parallel.executor` for
+    the contract).
 
-    On :class:`~repro.util.errors.NumericalBreakdown` the step degrades
-    gracefully: the pairs are re-solved one by one, each first with its
-    own kernel and, should that break down too, with the guarded
+    A numerical breakdown degrades gracefully: the gram kernel detects a
+    non-finite Gram block or rotation factor before touching ``X``/``V``
+    and then re-solves the pairs one by one, each first with the gram
+    kernel alone and, should that break down too, with the guarded
     reference solver (``stats.fallbacks`` counts the pairs that fell
     back).  A breakdown the guarded solver cannot absorb (genuinely
-    corrupted data) propagates to the caller — under a fault-recovery
-    driver that triggers a sweep-checkpoint rollback instead of garbage
-    output.  The stacked solvers only raise *before* touching
-    ``X``/``V``, so the per-pair retry starts from unmodified data.
+    corrupted data) raises :class:`~repro.util.errors.NumericalBreakdown`
+    to the caller — under a fault-recovery driver that triggers a
+    sweep-checkpoint rollback instead of garbage output.
 
     ``sanitizer`` (a :class:`~repro.verify.sanitize.RuntimeSanitizer`)
     opens a write-set record for the step: the solvers report the column
@@ -167,22 +167,84 @@ def solve_block_step(
     require(kernel in BLOCK_KERNELS,
             f"unknown block kernel {kernel!r}; "
             f"available: {', '.join(BLOCK_KERNELS)}")
+    cols = _pair_array(pair_cols)
+    Xs = X[None]
+    Vs = None if V is None else V[None]
     if sanitizer is None:
-        return _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                                kernel, executor, None)
-    expected = [frozenset(int(c) for c in pair_cols[i])
-                for i in range(len(pair_cols))]
-    workers = 1 if executor is None else executor.workers
-    sanitizer.begin_step(len(pair_cols), expected, workers=workers)
-    try:
-        out = _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                               kernel, executor, sanitizer)
-    except BaseException:
-        # the step never completed; its write-set record is meaningless
-        sanitizer.abort_step()
-        raise
-    sanitizer.end_step()
-    return out
+        counts, worst = _solve_step(Xs, Vs, _SOLO, cols, tol, sort,
+                                    inner_sweeps, kernel, executor, None)
+    else:
+        expected = [frozenset(int(c) for c in row) for row in cols]
+        workers = 1 if executor is None else executor.workers
+        sanitizer.begin_step(len(cols), expected, workers=workers)
+        try:
+            counts, worst = _solve_step(Xs, Vs, _SOLO, cols, tol, sort,
+                                        inner_sweeps, kernel, executor,
+                                        sanitizer)
+        except BaseException:
+            # the step never completed; its write-set record is meaningless
+            sanitizer.abort_step()
+            raise
+        sanitizer.end_step()
+    return RotationStats(*counts[0].tolist()), float(worst[0])
+
+
+def solve_block_step_batch(
+    Xs: np.ndarray,
+    Vs: np.ndarray | None,
+    items: np.ndarray,
+    pair_cols: "list[np.ndarray] | np.ndarray",
+    tol: float,
+    sort: str | None,
+    inner_sweeps: int,
+    kernel: str = "gram",
+    executor=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one schedule step for *many problem matrices* at once.
+
+    The many-matrix form of :func:`solve_block_step`: ``Xs`` is a
+    ``(B, m, n)`` stack of independent problems (``Vs`` the matching
+    ``(B, n, n)`` stack of accumulated factors, or ``None``), ``items``
+    the batch indices still iterating, and ``pair_cols`` the step's met
+    block pairs — shared by every item, because all problems of a batch
+    run the same compiled schedule.  Returns per-item arrays
+    ``(applied, worst)`` aligned with ``items``.
+
+    The contract is the batch API's: **bit-identical to solving each
+    matrix alone**, by construction — both entries run the same step
+    body, this one on all ``items`` at once.  The gram kernel fuses the
+    problem axis into its stacked GEMM phases — one
+    ``(len(items) * n_pairs, 2b, m)`` gather/Gram-form and one
+    apply/scatter — while the inner Gram solve runs through
+    :func:`repro.eig.gram_eigh_grouped` with one *convergence group per
+    problem*, so no problem's factors ever depend on its batch
+    neighbours.  Every per-matrix decision (sort-only exit, breakdown)
+    is taken per item.  ``executor`` chunks the GEMM phases (and the
+    reference kernel's pair loop) over the fused (item, pair) rows;
+    chunks write disjoint slices, so any worker count yields the same
+    bits.
+    """
+    require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
+    require(kernel in BLOCK_KERNELS,
+            f"unknown block kernel {kernel!r}; "
+            f"available: {', '.join(BLOCK_KERNELS)}")
+    items = np.asarray(items, dtype=np.intp)
+    if items.size == 0 or len(pair_cols) == 0:
+        return np.zeros(items.size, dtype=np.intp), np.zeros(items.size)
+    counts, worst = _solve_step(Xs, Vs, items, _pair_array(pair_cols), tol,
+                                sort, inner_sweeps, kernel, executor, None)
+    return counts[:, _APPLIED], worst
+
+
+def _pair_array(pair_cols: "list[np.ndarray] | np.ndarray") -> np.ndarray:
+    """The step's met pairs as one ``(n_pairs, 2b)`` column-index array."""
+    if not isinstance(pair_cols, np.ndarray):
+        k = len(pair_cols[0])
+        require(all(len(c) == k for c in pair_cols),
+                "all block pairs of a step must have equal width")
+    cols = np.asarray(pair_cols, dtype=np.intp)
+    require(cols.ndim == 2, "pair_cols must hold one column array per pair")
+    return cols
 
 
 def _phase_bounds(executor, n_items: int,
@@ -195,56 +257,112 @@ def _phase_bounds(executor, n_items: int,
     return executor.chunk_bounds(n_items, executor.workers)
 
 
-def _solve_step_body(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    pair_cols: "list[np.ndarray] | np.ndarray",
+def _dispatch(executor, chunked: bool, n_rows: int, fn) -> list:
+    """``fn(lo, hi)`` over ``range(n_rows)``: in executor chunks (results
+    in chunk order) or as one call."""
+    if chunked:
+        return executor.run_chunks(n_rows, fn)
+    return [fn(0, n_rows)]
+
+
+def _rows(items: np.ndarray, nb: int, lo: int, hi: int):
+    """The fused (item, pair) rows ``[lo, hi)`` of a step: an item-index
+    column and a pair index (a plain slice when there is one item), so
+    ``XsT[item, cols[pair]]`` addresses the rows' ``(hi - lo, 2b)``
+    column stacks."""
+    if len(items) == 1:
+        return items[:, None], slice(lo, hi)
+    r = np.arange(lo, hi)
+    return items[r // nb, None], r % nb
+
+
+def _take_items(a: np.ndarray, nb: int, pos: np.ndarray) -> np.ndarray:
+    """The fused rows of the items at ``pos`` of a stack holding ``nb``
+    consecutive (item, pair) rows per item."""
+    return a.reshape(-1, nb, *a.shape[1:])[pos].reshape(-1, *a.shape[1:])
+
+
+def _solve_step(
+    Xs: np.ndarray,
+    Vs: np.ndarray | None,
+    items: np.ndarray,
+    cols: np.ndarray,
     tol: float,
     sort: str | None,
     inner_sweeps: int,
     kernel: str,
     executor,
     sanitizer,
-) -> tuple[RotationStats, float]:
-    """The dispatch body of :func:`solve_block_step` (validated input)."""
-    if kernel == "gram":
-        try:
-            return _solve_gram_many(X, V, pair_cols, tol, sort, inner_sweeps,
-                                    executor, sanitizer)
-        except NumericalBreakdown:
-            pass  # isolate the poisoned pairs with per-pair solves
-    n_pairs = len(pair_cols)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one step body: solve the met pairs ``cols`` of every matrix
+    ``Xs[i]``, ``i`` in ``items``, in place.
 
-    def solve_pairs(lo: int, hi: int) -> tuple[RotationStats, float]:
-        stats = RotationStats()
-        worst = 0.0
-        for i in range(lo, hi):
-            st, mx = _solve_pair(X, V, pair_cols[i], tol, sort,
-                                 inner_sweeps, kernel)
-            stats.merge(st)
-            worst = max(worst, mx)
-        return stats, worst
+    Returns per-item counters (``(len(items), 5)``, one column per
+    :class:`~repro.svd.rotations.RotationStats` field) and per-item worst
+    first-touch relative off-diagonals.  The gram kernel runs
+    :func:`_solve_gram`; an item it reports broken (non-finite Gram or
+    factor, columns untouched) is re-solved pair by pair through
+    :func:`_solve_pairs`, which is also the whole reference kernel.
+    """
+    nb = len(cols)
+    counts = np.zeros((len(items), len(_COUNTERS)), dtype=np.intp)
+    worst = np.zeros(len(items))
+    if kernel == "gram":
+        broken = _solve_gram(Xs, Vs, items, cols, tol, sort, inner_sweeps,
+                             executor, sanitizer, counts, worst)
+        if broken.size == 0:
+            return counts, worst
+        rows = (broken[:, None] * nb + np.arange(nb)).reshape(-1)
+    else:
+        rows = np.arange(len(items) * nb)
+    _solve_pairs(Xs, Vs, items, rows, cols, tol, sort, inner_sweeps, kernel,
+                 executor, sanitizer, counts, worst)
+    return counts, worst
+
+
+def _solve_pairs(
+    Xs: np.ndarray,
+    Vs: np.ndarray | None,
+    items: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    tol: float,
+    sort: str | None,
+    inner_sweeps: int,
+    kernel: str,
+    executor,
+    sanitizer,
+    counts: np.ndarray,
+    worst: np.ndarray,
+) -> None:
+    """Solve the fused (item, pair) ``rows`` one pair at a time, merging
+    into the per-item ``counts`` and ``worst``.
+
+    The reference kernel runs every row here, and the gram kernel the
+    rows of its broken items.  Pairs touch disjoint columns, so
+    ``executor`` may chunk the rows; results merge in chunk order.
+    """
+    nb = len(cols)
+
+    def solve(lo: int, hi: int) -> list:
+        out = []
+        for r in rows[lo:hi]:
+            j, p = divmod(int(r), nb)
+            i = items[j]
+            out.append((j, *_solve_pair(Xs[i], None if Vs is None else Vs[i],
+                                        cols[p], tol, sort, inner_sweeps,
+                                        kernel)))
+        return out
 
     chunked = executor is not None and executor.workers > 1
-    if not chunked:
-        out = [solve_pairs(0, n_pairs)]
-    else:
-        # pairs touch disjoint columns, so the chunks are fully
-        # independent; results merge in chunk order for a deterministic
-        # reduction
-        out = executor.run_chunks(n_pairs, solve_pairs)
+    for part in _dispatch(executor, chunked, len(rows), solve):
+        for j, st, mx in part:
+            counts[j] += st
+            worst[j] = max(worst[j], mx)
     if sanitizer is not None:
         # the per-pair solves rewrite every column of their pairs
-        for lo, hi in _phase_bounds(executor, n_pairs, chunked):
-            sanitizer.record_touch(
-                lo, hi, np.concatenate([np.asarray(pair_cols[i])
-                                        for i in range(lo, hi)]))
-    stats = RotationStats()
-    worst = 0.0
-    for st, mx in out:
-        stats.merge(st)
-        worst = max(worst, mx)
-    return stats, worst
+        for lo, hi in _phase_bounds(executor, len(rows), chunked):
+            sanitizer.record_touch(lo, hi, cols[rows[lo:hi] % nb])
 
 
 def _solve_pair(
@@ -255,18 +373,134 @@ def _solve_pair(
     sort: str | None,
     inner_sweeps: int,
     kernel: str,
-) -> tuple[RotationStats, float]:
+) -> tuple[tuple[int, ...], float]:
     """Solve one block pair with its own kernel; a gram breakdown falls
-    back to the guarded reference solver (one ``stats.fallbacks``)."""
+    back to the guarded reference solver (one ``fallbacks``).  Returns
+    the pair's counters (``RotationStats`` field order) and worst."""
     if kernel == "gram":
-        try:
-            return _solve_gram_many(X, V, [cols], tol, sort, inner_sweeps)
-        except NumericalBreakdown:
-            st, mx = _solve_reference_guarded(X, V, cols, tol, sort,
-                                              inner_sweeps)
-            st.fallbacks += 1
-            return st, mx
-    return _solve_reference_guarded(X, V, cols, tol, sort, inner_sweeps)
+        counts = np.zeros((1, len(_COUNTERS)), dtype=np.intp)
+        worst = np.zeros(1)
+        if _solve_gram(X[None], None if V is None else V[None], _SOLO,
+                       cols[None], tol, sort, inner_sweeps, None, None,
+                       counts, worst).size == 0:
+            return tuple(counts[0]), float(worst[0])
+        st, mx = _solve_reference_guarded(X, V, cols, tol, sort, inner_sweeps)
+        st.fallbacks += 1
+    else:
+        st, mx = _solve_reference_guarded(X, V, cols, tol, sort, inner_sweeps)
+    return astuple(st), mx
+
+
+def _solve_gram(
+    Xs: np.ndarray,
+    Vs: np.ndarray | None,
+    items: np.ndarray,
+    cols: np.ndarray,
+    tol: float,
+    sort: str | None,
+    inner_sweeps: int,
+    executor,
+    sanitizer,
+    counts: np.ndarray,
+    worst: np.ndarray,
+) -> np.ndarray:
+    """The gram kernel over the matrices ``items`` of a ``(B, m, n)``
+    stack: one stacked Gram form ``G_r = Y_r^T Y_r`` over the fused
+    (item, pair) rows, one grouped inner solve
+    (:func:`repro.eig.gram_eigh_grouped`, one group per item), one
+    stacked application ``Y_r <- Y_r W_r`` / ``V_r <- V_r W_r``.  An item
+    whose pairs are all already orthogonal takes the sort-only exit.
+
+    Fills ``counts``/``worst`` for the items it solves and returns the
+    positions (into ``items``) of the broken ones: a non-finite Gram
+    block or rotation factor, detected before any of that item's
+    columns is touched; a broken item's counters and worst stay zero.
+
+    With an ``executor``, the gather/Gram-form and apply/scatter phases
+    are chunked over the fused rows; each chunk gathers and writes only
+    its own ``[lo:hi]`` rows and every 2D GEMM is the serial one, so any
+    worker count gives the serial bits.  The inner solve stays one call
+    (see :func:`solve_block_step`).
+    """
+    nm = len(items)
+    nb, k = cols.shape
+    m = Xs.shape[1]
+    XsT = Xs.transpose(0, 2, 1)  # (B, n, m): columns as rows
+    VsT = None if Vs is None else Vs.transpose(0, 2, 1)
+    Ys = np.empty((nm * nb, k, m))  # Ys[r] = Y_r^T
+    G = np.empty((nm * nb, k, k))
+
+    def gram_form(lo: int, hi: int) -> None:
+        # gather rows [lo, hi) and form their Gram blocks: writes only
+        # its own Ys/G slices
+        item, pair = _rows(items, nb, lo, hi)
+        Ys[lo:hi] = XsT[item, cols[pair]]
+        _gram(Ys[lo:hi], out=G[lo:hi])
+
+    chunked = executor is not None and executor.workers > 1
+    _dispatch(executor, chunked, nm * nb, gram_form)
+    broken, G, d, floor, item_worst = _gram_measure(G, nm, tol)
+    # the positions (into items) the rows of G, d, floor and Ys belong to
+    pos = np.arange(nm)
+    if broken.size:
+        pos = np.delete(pos, broken)
+        if pos.size == 0:
+            return broken
+        Ys = _take_items(Ys, nb, pos)
+    worst[pos] = item_worst
+    solve = item_worst > tol
+    if not solve.all():
+        # already orthogonal: only the norm-ordering convention may act,
+        # and only the columns out of norm order move
+        done = np.flatnonzero(~solve)
+        if done.size < pos.size:
+            d = _take_items(d, nb, done)
+        done_items = items[pos[done]]
+        moves = _sort_exchanges(cols if done.size == 1
+                                else np.tile(cols, (done.size, 1)), d, sort)
+        if moves is not None:
+            row, src, dst, exchanged = moves
+            item = done_items[row // nb]
+            XsT[item, dst] = XsT[item, src]
+            if VsT is not None:
+                VsT[item, dst] = VsT[item, src]
+            if sanitizer is not None:
+                sanitizer.record_touch(0, nb, dst)
+            counts[pos[done], _EXCHANGED] = exchanged.reshape(
+                done.size, nb).sum(axis=1)
+        if done.size == pos.size:
+            return broken
+        keep = np.flatnonzero(solve)
+        pos, G, floor, Ys = (pos[keep], _take_items(G, nb, keep),
+                             _take_items(floor, nb, keep),
+                             _take_items(Ys, nb, keep))
+    W, rotations, ok, tgt = _gram_factors(G, floor, cols, tol, sort,
+                                          inner_sweeps)
+    if not ok.all():
+        broken = np.union1d(broken, pos[~ok])
+        worst[pos[~ok]] = 0.0
+        keep = np.flatnonzero(ok)
+        if keep.size == 0:
+            return broken
+        pos, rotations = pos[keep], rotations[keep]
+        W, Ys = _take_items(W, nb, keep), _take_items(Ys, nb, keep)
+    counts[pos, _APPLIED] = rotations
+    sub = items[pos]
+
+    def gram_apply(lo: int, hi: int) -> None:
+        # apply rows [lo, hi) of the rotation factors and scatter into
+        # the (disjoint) target columns
+        item, pair = _rows(sub, nb, lo, hi)
+        XsT[item, tgt[pair]] = _apply_wt(W[lo:hi], Ys[lo:hi])  # (Y_r W_r)^T
+        if VsT is not None:
+            VsT[item, tgt[pair]] = _apply_wt(W[lo:hi],
+                                             VsT[item, cols[pair]])
+
+    _dispatch(executor, chunked, len(W), gram_apply)
+    if sanitizer is not None:
+        for lo, hi in _phase_bounds(executor, len(W), chunked):
+            sanitizer.record_touch(lo, hi, tgt[lo:hi])
+    return broken
 
 
 def _solve_reference_guarded(
@@ -342,66 +576,41 @@ def _solve_reference(
     return stats, worst
 
 
-def _sort_perm(w: np.ndarray, sort: str | None) -> np.ndarray | None:
+def _sort_perm(d: np.ndarray, sort: str | None) -> np.ndarray | None:
+    """Per-row stable permutation putting the squared norms ``d``
+    (``(rows, 2b)``) in ``sort`` order; ``None`` for ``sort=None``."""
     if sort == "desc":
-        return np.argsort(-w, kind="stable")
+        return np.argsort(-d, axis=1, kind="stable")
     if sort == "asc":
-        return np.argsort(w, kind="stable")
+        return np.argsort(d, axis=1, kind="stable")
     return None
 
 
-@lru_cache(maxsize=None)
-def _triu_cache(k: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(k, 1)
-
-
 def _sort_exchanges(
-    pair_cols,
+    cols: np.ndarray,
     d: np.ndarray,
     sort: str | None,
-    stats: RotationStats,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Column permutation implied by the norm-ordering convention on
-    already-orthogonal blocks: concatenated ``(src, tgt)`` column ids of
-    every pair that needs exchanging (``(None, None)`` when none does),
-    with ``stats.exchanged`` counted.  Shared by the in-place event path
-    (:func:`_apply_sort_only`) and the simulator fast path, which applies
-    the same permutation as a pure row relabelling."""
-    srcs = []
-    tgts = []
-    for i in range(len(pair_cols)):
-        cols = pair_cols[i]
-        perm = _sort_perm(d[i], sort)
-        if perm is None:
-            continue
-        target = np.sort(cols)
-        src = cols[perm]
-        if not np.array_equal(src, target):
-            stats.exchanged += int(np.count_nonzero(src != target)) // 2
-            srcs.append(src)
-            tgts.append(target)
-    if not srcs:
-        return None, None
-    return np.concatenate(srcs), np.concatenate(tgts)
-
-
-def _apply_sort_only(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    pair_cols: list[np.ndarray],
-    d: np.ndarray,
-    sort: str | None,
-    stats: RotationStats,
-    sanitizer=None,
-) -> None:
-    """Apply the norm-ordering convention to already-orthogonal blocks."""
-    src, tgt = _sort_exchanges(pair_cols, d, sort, stats)
-    if src is not None:
-        X[:, tgt] = X[:, src]
-        if V is not None:
-            V[:, tgt] = V[:, src]
-        if sanitizer is not None:
-            sanitizer.record_touch(0, len(pair_cols), tgt)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Column moves implied by the norm-ordering convention on
+    already-orthogonal blocks: row ``r`` of ``cols`` (``(rows, 2b)``
+    column ids, squared norms ``d``) keeps its column set, and the
+    column whose norm ranks ``j``-th moves to the ``j``-th smallest id.
+    Returns ``(row, src, tgt, exchanged)`` — per moved column its row,
+    source and target id (columns already in place are left out), and
+    per row the exchanges it counts — or ``None`` when nothing moves
+    (always for ``sort=None``).  Shared by the step body, which moves
+    the data, and the simulator fast path, which applies the same moves
+    as a pure row relabelling."""
+    perm = _sort_perm(d, sort)
+    if perm is None:
+        return None
+    src = cols[np.arange(len(cols))[:, None], perm]
+    tgt = np.sort(cols, axis=1)
+    moved = src != tgt
+    if not moved.any():
+        return None
+    return (np.nonzero(moved)[0], src[moved], tgt[moved],
+            np.count_nonzero(moved, axis=1) // 2)
 
 
 def _gram(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -418,69 +627,66 @@ def _apply_wt(w: np.ndarray, y: np.ndarray,
 
 def _gram_measure(
     G: np.ndarray,
-    cols_arr: np.ndarray,
-    k: int,
+    nm: int,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Finite check, symmetrisation and convergence measurement of a
-    ``(nb, k, k)`` Gram stack — the decision half of the gram kernel,
-    shared verbatim by the event-driven path (:func:`_solve_gram_many`)
-    and the simulator fast path (:func:`fastpath_gram_step`) so their
-    bit-identity holds by construction.  Returns
-    ``(G_sym, d, floor, worst)``; raises before any column is touched."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Finite check, symmetrisation and convergence measurement of the
+    Gram stack of ``nm`` matrices (``len(G) / nm`` consecutive pair rows
+    each) — the decision half of the gram kernel, shared by the step
+    body and the simulator fast path (:func:`fastpath_gram_step`) so
+    their bit-identity holds by construction.  Returns
+    ``(broken, G, d, floor, worst)``: the positions of the matrices with
+    a non-finite Gram block, then for the rows of the other matrices
+    only the symmetrised Grams, their squared column norms and noise
+    floors, and per matrix the worst relative off-diagonal."""
+    nb = len(G) // nm
     finite = np.isfinite(G)
-    if not finite.all():
-        # breakdown sentinel: raise before any column is touched so the
-        # per-pair fallback can re-solve the poisoned pairs from clean data
-        i = int(np.argwhere(~finite)[0][0])
-        raise NumericalBreakdown(
-            f"non-finite Gram block for pair {i} "
-            f"(columns {cols_arr[i].tolist()})",
-            where=(int(cols_arr[i][0]), int(cols_arr[i][-1])))
+    if finite.all():
+        broken = _NO_ITEMS
+    else:
+        finite = finite.reshape(nm, -1).all(axis=1)
+        broken = np.flatnonzero(~finite)
+        G = _take_items(G, nb, np.flatnonzero(finite))
     # gemm output is symmetric only to rounding; the solver updates
     # (p, q) and (q, p) through the same rotation, so symmetrise once
     G = 0.5 * (G + G.transpose(0, 2, 1))
-    d = np.diagonal(G, axis1=1, axis2=2)  # (nb, k) squared norms
+    k = G.shape[1]
+    d = np.diagonal(G, axis1=1, axis2=2)  # (rows, k) squared norms
     gmax = d.max(axis=1)
     floor = GRAM_NOISE * k * _EPS * gmax  # zero blocks get a zero floor
     fdiv = (floor / tol)[:, None] if tol > 0.0 else np.zeros((len(G), 1))
     i0, i1 = _triu_cache(k)
     denom = np.sqrt(np.abs(d[:, i0] * d[:, i1]))
     rel = np.abs(G[:, i0, i1]) / (denom + fdiv + _TINY)
-    worst = float(rel.max(initial=0.0))
-    return G, d, floor, worst
+    worst = rel.reshape(len(G) // nb, nb * len(i0)).max(axis=1, initial=0.0)
+    return broken, G, d, floor, worst
 
 
 def _gram_factors(
     G: np.ndarray,
-    cols_arr: np.ndarray,
+    floor: np.ndarray,
+    cols: np.ndarray,
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    floor: np.ndarray,
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Inner Gram solve plus the sort convention — the factor half of
-    the gram kernel, shared by both execution paths.  Returns
-    ``(W, rotations, tgt_arr)`` with ``W``'s columns already permuted to
-    land each block's norms in target order (``tgt_arr`` the sorted
-    column targets, or ``cols_arr`` itself with ``sort=None``)."""
-    W, rotations, _, _ = gram_eigh_batched(G, tol=tol,
+    the gram kernel, shared by the step body and the fast path.  ``G``
+    holds one Gram per met pair ``cols`` (``(nb, 2b)``) for each matrix,
+    and each matrix is one convergence group.  Returns
+    ``(W, rotations, ok, tgt)``: ``W`` with its columns permuted to land
+    each block's norms in target order, per matrix its rotation count
+    and whether all its factors are finite, and the pairs' target
+    column ids (sorted with ``sort`` set, else ``cols``)."""
+    W, rotations, _, _ = gram_eigh_grouped(G, tol=tol,
                                            max_sweeps=inner_sweeps,
-                                           floor=floor)
-    if not np.isfinite(W).all():
-        raise NumericalBreakdown(
-            "non-finite rotation factor from the inner Gram Jacobi")
-    if sort is not None:
-        d2 = np.diagonal(G, axis1=1, axis2=2)
-        if sort == "desc":
-            perm = np.argsort(-d2, axis=1, kind="stable")
-        else:
-            perm = np.argsort(d2, axis=1, kind="stable")
-        W = np.take_along_axis(W, perm[:, None, :], axis=2)
-        tgt_arr = np.sort(cols_arr, axis=1)
-    else:
-        tgt_arr = cols_arr
-    return W, rotations, tgt_arr
+                                           floor=floor, group_size=len(cols))
+    ok = np.isfinite(W).reshape(len(rotations), -1).all(axis=1)
+    perm = _sort_perm(np.diagonal(G, axis1=1, axis2=2), sort)
+    if perm is None:
+        return W, rotations, ok, cols
+    return (np.take_along_axis(W, perm[:, None, :], axis=2), rotations, ok,
+            np.sort(cols, axis=1))
 
 
 def _fp_buffer(scratch: "dict | None", key: str, rows: int,
@@ -545,12 +751,13 @@ def fastpath_gram_step(
     ``XT`` (``(n, m)``) and ``VT`` (``(n, n)``) hold the matrix columns
     as contiguous *rows*; ``row_of_col`` maps column id -> physical row
     (updated in place).  The step gathers its rows into the same
-    C-contiguous ``(nb, 2b, m)`` stacks as the event path's
-    Gram-form phase, runs the shared measurement/factor helpers,
+    C-contiguous ``(nb, 2b, m)`` stacks as the step body's Gram-form
+    phase, runs the shared measure, factor and sort-exchange helpers,
     and scatters results back into the gathered rows — so every GEMM
     sees bit-identical operands in bit-identical layouts, and row-major
-    fancy gathers replace the event path's strided column gathers (the
-    fast path's actual win).  Norm-ordering exchanges of
+    fancy gathers replace the step body's strided column gathers (the
+    fast path's actual win, and why it keeps its own storage instead of
+    calling the body).  Norm-ordering exchanges of
     already-orthogonal blocks become pure ``row_of_col`` relabelings:
     zero data movement, same ``stats.exchanged`` count.  ``scratch``
     (see :func:`_fp_buffer`) carries the step stacks across a sweep so
@@ -560,7 +767,7 @@ def fastpath_gram_step(
 
     Raises :class:`~repro.util.errors.NumericalBreakdown` before
     touching any row; the caller materialises ``X``/``V`` and delegates
-    the step to the event-path solver (same per-pair fallback).
+    the step to :func:`solve_block_step` (same per-pair fallback).
     """
     stats = RotationStats()
     cols_arr = np.asarray(cols_arr, dtype=np.intp)
@@ -587,17 +794,25 @@ def fastpath_gram_step(
         np.take(XT, rows, axis=0, out=Ys2d, mode="clip")
     Ys = Ys2d.reshape(nb, k, m)
     G = _gram(Ys, out=_fp_buffer(scratch, "G", nb, (k, k)))
-    G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
+    broken, G, d, floor, worst = _gram_measure(G, 1, tol)
+    if broken.size:
+        raise NumericalBreakdown("non-finite Gram block in a fast-path step")
+    worst = float(worst[0])
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act,
         # and it moves no data — any carried stack stays valid
-        src, tgt = _sort_exchanges(cols_arr, d, sort, stats)
-        if src is not None:
+        moves = _sort_exchanges(cols_arr, d, sort)
+        if moves is not None:
+            _, src, tgt, exchanged = moves
             row_of_col[tgt] = row_of_col[src]
+            stats.exchanged = int(exchanged.sum())
         return stats, worst
-    W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor)
-    stats.applied = rotations
+    W, rotations, ok, tgt_arr = _gram_factors(G, floor, cols_arr, tol, sort,
+                                              inner_sweeps)
+    if not ok[0]:
+        raise NumericalBreakdown(
+            "non-finite rotation factor from the inner Gram solve")
+    stats.applied = int(rotations[0])
     if VT is not None:
         nv = VT.shape[1]
         Vs2d = _fp_buffer(scratch, "Vs", nb * k, (nv,))
@@ -631,314 +846,3 @@ def fastpath_gram_step(
             VT[rows] = vout2d
     row_of_col[tgt_arr.reshape(-1)] = rows
     return stats, worst
-
-
-def _solve_gram_many(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    pair_cols: "list[np.ndarray] | np.ndarray",
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-    executor=None,
-    sanitizer=None,
-) -> tuple[RotationStats, float]:
-    """BLAS-3 Gram-space solve of a whole step's met pairs at once.
-
-    One stacked Gram form ``G_i = Y_i^T Y_i``, one batched inner solve
-    (:func:`repro.eig.gram_eigh_batched`: stacked LAPACK ``eigh`` inside
-    the gate, cyclic Jacobi outside it), one stacked application
-    ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i``.
-
-    With an ``executor``, the two GEMM phases (gather/Gram-form and
-    apply/scatter) are chunked over the batch dimension: each chunk
-    gathers and writes only its own ``[lo:hi]`` slice of the
-    preallocated stacks, and each 2D GEMM inside the batch is computed
-    exactly as in the serial path, so the result is bit-identical for
-    any worker count.  The inner solve between the phases is
-    deliberately one full-stack call: the cyclic loop's convergence
-    test couples the Grams outside the gate across the batch (a
-    converged-by-floor block in a mixed batch would receive extra
-    rotations if batches were split), so chunking it would break the
-    determinism contract.
-    """
-    stats = RotationStats()
-    k = len(pair_cols[0])
-    require(all(len(c) == k for c in pair_cols),
-            "all block pairs of a step must have equal width")
-    cols_arr = np.asarray(pair_cols, dtype=np.intp)
-    nb = len(cols_arr)
-    m = X.shape[0]
-    Ys = np.empty((nb, k, m))  # Ys[i] = Y_i^T
-    G = np.empty((nb, k, k))
-    XT = X.T
-
-    def gram_form(lo: int, hi: int) -> None:
-        # gather chunk [lo, hi) and form its Gram blocks: writes only
-        # its own Ys/G slices
-        Ys[lo:hi] = XT[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, m)
-        _gram(Ys[lo:hi], out=G[lo:hi])
-
-    chunked = executor is not None and executor.workers > 1
-    if chunked:
-        executor.run_chunks(nb, gram_form)
-    else:
-        gram_form(0, nb)
-    G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
-    if worst <= tol:
-        # already orthogonal: only the norm-ordering convention may act
-        _apply_sort_only(X, V, pair_cols, d, sort, stats, sanitizer)
-        return stats, worst
-    W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor)
-    stats.applied = rotations
-    n = V.shape[0] if V is not None else 0
-
-    def gram_apply(lo: int, hi: int) -> None:
-        # apply chunk [lo, hi) of the rotation factors and scatter into
-        # the (disjoint) target columns
-        out = _apply_wt(W[lo:hi], Ys[lo:hi])  # (Y_i W_i)^T
-        t = tgt_arr[lo:hi].reshape(-1)
-        X[:, t] = out.reshape((hi - lo) * k, m).T
-        if V is not None:
-            Vs = V.T[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, n)
-            V[:, t] = _apply_wt(W[lo:hi], Vs).reshape((hi - lo) * k, n).T
-
-    if chunked:
-        executor.run_chunks(nb, gram_apply)
-    else:
-        gram_apply(0, nb)
-    if sanitizer is not None:
-        for lo, hi in _phase_bounds(executor, nb, chunked):
-            sanitizer.record_touch(lo, hi, tgt_arr[lo:hi].reshape(-1))
-    return stats, worst
-
-
-def solve_block_step_batch(
-    Xs: np.ndarray,
-    Vs: np.ndarray | None,
-    items: np.ndarray,
-    pair_cols: "list[np.ndarray] | np.ndarray",
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-    kernel: str = "gram",
-    executor=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one schedule step for *many problem matrices* at once.
-
-    The many-matrix analogue of :func:`solve_block_step`: ``Xs`` is a
-    ``(B, m, n)`` stack of independent problems (``Vs`` the matching
-    ``(B, n, n)`` stack of accumulated factors, or ``None``), ``items``
-    the batch indices still iterating, and ``pair_cols`` the step's met
-    block pairs — shared by every item, because all problems of a batch
-    run the same compiled schedule.  Returns per-item arrays
-    ``(applied, worst)`` aligned with ``items``.
-
-    The contract is the batch API's: **bit-identical to solving each
-    matrix alone**.  The gram kernel fuses the problem axis into its
-    stacked GEMM phases — one ``(len(items) * n_pairs, 2b, m)``
-    gather/Gram-form and one apply/scatter — while the inner Gram
-    solve runs through :func:`repro.eig.gram_eigh_grouped` with one
-    *convergence group per problem*, so no problem's factors ever
-    depend on its batch neighbours.  The reference kernel loops
-    over the items.  ``executor`` chunks the *batch axis* (items, not
-    GEMM rows, are the unit of parallel work); chunks write disjoint
-    ``Xs[i]`` slices and merge in chunk order, so any worker count
-    yields the same bits.
-
-    A poisoned item (non-finite Gram blocks or rotation factors) is
-    delegated alone to :func:`solve_block_step`'s body, which re-raises
-    the same breakdown from the untouched columns and takes the same
-    per-pair fallback a solo run would.
-    """
-    require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
-    require(kernel in BLOCK_KERNELS,
-            f"unknown block kernel {kernel!r}; "
-            f"available: {', '.join(BLOCK_KERNELS)}")
-    items = np.asarray(items, dtype=np.intp)
-    if items.size == 0 or len(pair_cols) == 0:
-        return np.zeros(items.size, dtype=np.intp), np.zeros(items.size)
-
-    def solve_items(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        return _solve_batch_items(Xs, Vs, items[lo:hi], pair_cols, tol,
-                                  sort, inner_sweeps, kernel)
-
-    if executor is None or executor.workers == 1 or items.size == 1:
-        return solve_items(0, items.size)
-    applied = np.empty(items.size, dtype=np.intp)
-    worst = np.empty(items.size)
-    pos = 0
-    for ap, wo in executor.run_chunks(items.size, solve_items):
-        applied[pos:pos + len(ap)] = ap
-        worst[pos:pos + len(wo)] = wo
-        pos += len(ap)
-    return applied, worst
-
-
-def _solve_batch_items(
-    Xs: np.ndarray,
-    Vs: np.ndarray | None,
-    sub: np.ndarray,
-    cols: "list[np.ndarray] | np.ndarray",
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-    kernel: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of the batch path: solve the batch items ``sub``."""
-    if kernel == "gram":
-        return _solve_gram_batch(Xs, Vs, sub, cols, tol, sort, inner_sweeps)
-    applied = np.zeros(sub.size, dtype=np.intp)
-    worst = np.zeros(sub.size)
-    for j, i in enumerate(sub):
-        st, mx = _solve_step_body(
-            Xs[i], None if Vs is None else Vs[i], cols, tol, sort,
-            inner_sweeps, kernel, None, None)
-        applied[j] = st.applied
-        worst[j] = mx
-    return applied, worst
-
-
-def _expand_groups(pos: np.ndarray, nb: int) -> np.ndarray:
-    """Stack-row indices of the ``nb``-pair groups at positions ``pos``."""
-    return (pos[:, None] * nb + np.arange(nb, dtype=np.intp)).reshape(-1)
-
-
-def _apply_sort_only_batch(
-    Xs: np.ndarray,
-    Vs: np.ndarray | None,
-    rows: np.ndarray,
-    cols_arr: np.ndarray,
-    d: np.ndarray,
-    sort: str | None,
-) -> None:
-    """Vectorised :func:`_apply_sort_only` across problem matrices.
-
-    ``rows`` are batch indices, ``d`` the ``(len(rows) * nb, k)``
-    squared norms aligned with them.  Pairs already in norm order are
-    rewritten with their own values — a bitwise no-op — so the whole
-    permutation is two gather/scatter pairs regardless of batch size.
-    """
-    if sort is None:
-        return
-    nb, k = cols_arr.shape
-    if sort == "desc":
-        perm = np.argsort(-d, axis=1, kind="stable")
-    else:
-        perm = np.argsort(d, axis=1, kind="stable")
-    cols_tiled = np.tile(cols_arr, (len(rows), 1))
-    src = np.take_along_axis(cols_tiled, perm, axis=1)
-    src_rows = src.reshape(len(rows), nb * k)
-    tgt_flat = np.sort(cols_arr, axis=1).reshape(-1)
-    XsT = Xs.transpose(0, 2, 1)
-    XsT[np.ix_(rows, tgt_flat)] = XsT[rows[:, None], src_rows]
-    if Vs is not None:
-        VsT = Vs.transpose(0, 2, 1)
-        VsT[np.ix_(rows, tgt_flat)] = VsT[rows[:, None], src_rows]
-
-
-def _solve_gram_batch(
-    Xs: np.ndarray,
-    Vs: np.ndarray | None,
-    items: np.ndarray,
-    pair_cols: "list[np.ndarray] | np.ndarray",
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The gram kernel's problem-axis super-batch (see
-    :func:`solve_block_step_batch`): :func:`_solve_gram_many` with the
-    batch dimension extended from ``n_pairs`` to ``B x n_pairs`` and
-    every per-matrix decision (sort-only early exit, inner-solve
-    convergence, breakdown delegation) taken per problem."""
-    nm = items.size
-    k = len(pair_cols[0])
-    require(all(len(c) == k for c in pair_cols),
-            "all block pairs of a step must have equal width")
-    cols_arr = np.asarray(pair_cols, dtype=np.intp)
-    nb = len(cols_arr)
-    m = Xs.shape[1]
-    allcols = cols_arr.reshape(-1)
-    applied = np.zeros(nm, dtype=np.intp)
-    worst_out = np.zeros(nm)
-
-    XsT = Xs.transpose(0, 2, 1)  # (B, n, m) view of the column stacks
-    Ys = XsT[np.ix_(items, allcols)].reshape(nm * nb, k, m)
-    G = _gram(Ys)
-
-    def delegate(j: int) -> None:
-        # the solo path re-forms this item's Gram blocks from its still
-        # untouched columns, hits the same breakdown, and takes the same
-        # per-pair fallback — bit-identical to a standalone run
-        st, mx = _solve_step_body(
-            Xs[items[j]], None if Vs is None else Vs[items[j]], pair_cols,
-            tol, sort, inner_sweeps, "gram", None, None)
-        applied[j] = st.applied
-        worst_out[j] = mx
-
-    finite = np.isfinite(G).reshape(nm, -1).all(axis=1)
-    keep = np.flatnonzero(finite)
-    for j in np.flatnonzero(~finite):
-        delegate(int(j))
-    if keep.size == 0:
-        return applied, worst_out
-    if keep.size < nm:
-        sel = _expand_groups(keep, nb)
-        Ys = Ys[sel]
-        G = G[sel]
-    # gemm output is symmetric only to rounding (see _solve_gram_many)
-    G = 0.5 * (G + G.transpose(0, 2, 1))
-    d = np.diagonal(G, axis1=1, axis2=2)  # (keep * nb, k) squared norms
-    gmax = d.max(axis=1)
-    floor = GRAM_NOISE * k * _EPS * gmax
-    fdiv = (floor / tol)[:, None] if tol > 0.0 else np.zeros((len(G), 1))
-    i0, i1 = _triu_cache(k)
-    denom = np.sqrt(np.abs(d[:, i0] * d[:, i1]))
-    rel = np.abs(G[:, i0, i1]) / (denom + fdiv + _TINY)
-    relw = rel.reshape(keep.size, -1).max(axis=1)
-    worst_out[keep] = relw
-
-    so_mask = relw <= tol
-    so_local = np.flatnonzero(so_mask)
-    if so_local.size:
-        # already orthogonal: only the norm-ordering convention may act
-        _apply_sort_only_batch(Xs, Vs, items[keep[so_local]], cols_arr,
-                               d[_expand_groups(so_local, nb)], sort)
-    sv_local = np.flatnonzero(~so_mask)
-    if sv_local.size == 0:
-        return applied, worst_out
-    sel_sv = _expand_groups(sv_local, nb)
-    Gs = G[sel_sv]
-    Ws, rots, _, _ = gram_eigh_grouped(Gs, tol=tol, max_sweeps=inner_sweeps,
-                                       floor=floor[sel_sv], group_size=nb)
-    wfin = np.isfinite(Ws).reshape(sv_local.size, -1).all(axis=1)
-    for j_local in np.flatnonzero(~wfin):
-        delegate(int(keep[sv_local[j_local]]))
-    ok_local = np.flatnonzero(wfin)
-    if ok_local.size == 0:
-        return applied, worst_out
-    sel_ok = _expand_groups(ok_local, nb)
-    W_ok = Ws[sel_ok]
-    Ys_ok = Ys[_expand_groups(sv_local[ok_local], nb)]
-    if sort is not None:
-        d2 = np.diagonal(Gs, axis1=1, axis2=2)[sel_ok]
-        if sort == "desc":
-            perm = np.argsort(-d2, axis=1, kind="stable")
-        else:
-            perm = np.argsort(d2, axis=1, kind="stable")
-        W_ok = np.take_along_axis(W_ok, perm[:, None, :], axis=2)
-        tgt_flat = np.sort(cols_arr, axis=1).reshape(-1)
-    else:
-        tgt_flat = allcols
-    rows = items[keep[sv_local[ok_local]]]
-    out = _apply_wt(W_ok, Ys_ok)  # (Y_i W_i)^T per pair
-    XsT[np.ix_(rows, tgt_flat)] = out.reshape(rows.size, nb * k, m)
-    if Vs is not None:
-        n = Vs.shape[2]
-        VsT = Vs.transpose(0, 2, 1)
-        Vg = VsT[np.ix_(rows, allcols)].reshape(rows.size * nb, k, n)
-        vout = _apply_wt(W_ok, Vg)
-        VsT[np.ix_(rows, tgt_flat)] = vout.reshape(rows.size, nb * k, n)
-    applied[keep[sv_local[ok_local]]] = rots[ok_local]
-    return applied, worst_out

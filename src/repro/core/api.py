@@ -24,10 +24,10 @@ from ..blockjacobi.kernel import BLOCK_KERNELS
 from ..machine.costmodel import CostModel
 from ..orderings.base import Ordering
 from ..orderings.plan import PlanCacheStats, plan_cache_stats
-from ..parallel.distribution import pad_columns, strip_padding
+from ..parallel.distribution import (next_admissible_width, pad_columns,
+                                     strip_padding)
 from ..parallel.driver import ParallelJacobiSVD, ParallelRunReport
 from ..svd.hestenes import JacobiOptions, jacobi_svd
-from ..util.bits import is_power_of_two
 from ..util.validation import (as_float_matrix, as_float_stack, require,
                                require_finite)
 from .result import BatchResult, SVDResult
@@ -228,12 +228,7 @@ def svd(
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
         b = bopts.block_size
-        n_blocks, rem = divmod(n, b)
-        admissible = rem == 0 and (
-            (is_power_of_two(n_blocks) and n_blocks >= 4)
-            if pow2 else (n_blocks % 2 == 0 and n_blocks >= 2)
-        )
-        if admissible:
+        if next_admissible_width(n, pow2, b) == n:
             result = block_jacobi_svd(a, ordering=ordering, options=bopts,
                                       **ordering_kwargs)
         else:
@@ -243,8 +238,7 @@ def svd(
                                  **ordering_kwargs), orig)
     else:
         options = _with_kernel(options, kernel)
-        admissible = (is_power_of_two(n) and n >= 4) if pow2 else (n % 2 == 0)
-        if admissible:
+        if next_admissible_width(n, pow2) == n:
             result = jacobi_svd(a, ordering=ordering, options=options,
                                 **ordering_kwargs)
         else:
@@ -363,9 +357,11 @@ def svd_batch(
     solves fuse the whole batch into stacked GEMMs, with per-item
     convergence masks dropping finished matrices out of later sweeps
     (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
-    ``executor="threads"`` chunks *batch items* across workers, while
-    the bits stay those of a serial loop.  Scalar mode (no
-    ``block_size``) falls back to a plain loop of :func:`svd`.
+    Block :func:`svd` runs the same step body as a batch of one.
+    ``executor="threads"`` chunks the fused (item, block pair) rows of
+    each step's gather/Gram-form and apply/scatter phases across
+    workers, while the bits stay those of a serial loop.  Scalar mode
+    (no ``block_size``) falls back to a plain loop of :func:`svd`.
 
     A non-finite entry raises ``ValueError`` naming the offending batch
     index and coordinates (``matrices[i] contains ... at index (r, c)``);
@@ -395,22 +391,16 @@ def svd_batch(
     t0 = time.perf_counter()
     if bopts is not None:
         stack, shifts = range_scale(stack)
-        b = bopts.block_size
-        n_blocks, rem = divmod(n, b)
-        admissible = rem == 0 and (
-            (is_power_of_two(n_blocks) and n_blocks >= 4)
-            if pow2 else (n_blocks % 2 == 0 and n_blocks >= 2)
-        )
-        if admissible:
+        width = next_admissible_width(n, pow2, bopts.block_size)
+        if width == n:
             results = block_jacobi_svd_batch(stack, ordering=ordering,
                                              options=bopts, **ordering_kwargs)
         else:
             # pad the whole stack to the width a solo call would use
-            probe, orig = pad_columns(stack[0], power_of_two=pow2, block_size=b)
-            padded = np.zeros((nitems, stack.shape[1], probe.shape[1]))
+            padded = np.zeros((nitems, stack.shape[1], width))
             padded[:, :, :n] = stack
             results = [
-                strip_padding(r, orig)
+                strip_padding(r, n)
                 for r in block_jacobi_svd_batch(padded, ordering=ordering,
                                                 options=bopts,
                                                 **ordering_kwargs)

@@ -3,11 +3,10 @@
 from .jacobi import (
     EigOptions,
     EigResult,
-    gram_eigh,
-    gram_eigh_batched,
+    gram_eigh_grouped,
     jacobi_eigh,
     symmetric_off_norm,
 )
 
-__all__ = ["EigOptions", "EigResult", "gram_eigh", "gram_eigh_batched",
-           "jacobi_eigh", "symmetric_off_norm"]
+__all__ = ["EigOptions", "EigResult", "gram_eigh_grouped", "jacobi_eigh",
+           "symmetric_off_norm"]

@@ -13,10 +13,10 @@ The kernels are vectorised over the disjoint pairs of a step: one fused
 row update and one fused column update per step instead of a Python
 loop over pairs.
 
-The Gram solvers behind the block kernel (:func:`gram_eigh_batched`,
-:func:`gram_eigh_grouped`) diagonalise stacks of small Gram matrices:
-one stacked LAPACK ``eigh`` for every matrix whose diagonal spread is
-below :data:`EIGH_GATE`, cyclic two-sided Jacobi for the rest.
+The Gram solver behind the block kernel (:func:`gram_eigh_grouped`)
+diagonalises stacks of small Gram matrices: one stacked LAPACK ``eigh``
+for every matrix whose diagonal spread is below :data:`EIGH_GATE`,
+cyclic two-sided Jacobi for the rest.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from ..orderings.registry import make_ordering
 from ..svd.rotations import _validate_sort
 from ..util.validation import require
 
-__all__ = ["EIGH_GATE", "EigOptions", "EigResult", "gram_eigh",
-           "gram_eigh_batched", "gram_eigh_grouped", "jacobi_eigh",
-           "symmetric_off_norm"]
+__all__ = ["EIGH_GATE", "EigOptions", "EigResult", "gram_eigh_grouped",
+           "jacobi_eigh", "symmetric_off_norm"]
 
 _TINY = float(np.finfo(np.float64).tiny)
 
 #: largest diagonal spread ``max g_ii / min g_ii`` of a Gram matrix that
-#: :func:`gram_eigh_batched` hands to LAPACK ``eigh``; a wider spread
+#: :func:`gram_eigh_grouped` hands to LAPACK ``eigh``; a wider spread
 #: keeps the cyclic loop, whose relative threshold keeps the relative
 #: accuracy ``eigh`` alone loses on column-scaled input
 EIGH_GATE = 1e8
@@ -225,6 +224,17 @@ def _round_robin_steps(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(steps)
 
 
+@lru_cache(maxsize=None)
+def _triu_cache(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a
+    ``k x k`` matrix; cached and read-only, as every step of the block
+    kernel and its inner solve indexes the same ``2b x 2b`` pairs."""
+    i0, i1 = np.triu_indices(k, 1)
+    i0.flags.writeable = False
+    i1.flags.writeable = False
+    return i0, i1
+
+
 def _lapack_vectors(gs: np.ndarray) -> np.ndarray:
     """Eigenvectors (ascending eigenvalues) of the stack ``gs``.
 
@@ -247,7 +257,7 @@ def _lapack_vectors(gs: np.ndarray) -> np.ndarray:
 
 def _solve_gated(g: np.ndarray, W: np.ndarray,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The LAPACK branch of :func:`gram_eigh_batched`: every matrix of
+    """The LAPACK branch of :func:`gram_eigh_grouped`: every matrix of
     the stack inside the gate gets its rank-matched, sign-fixed ``W``
     and ``g <- W^T g W`` in place, from one stacked ``eigh``.  Returns
     the gate mask and the per-matrix rotation count (the pairs above
@@ -263,7 +273,7 @@ def _solve_gated(g: np.ndarray, W: np.ndarray,
         return gated, rotations
     gs = g[idx]
     ds = d[idx]
-    i0, i1 = np.triu_indices(k, 1)
+    i0, i1 = _triu_cache(k)
     rotations[idx] = np.count_nonzero(
         np.abs(gs[:, i0, i1]) > tol * np.sqrt(ds[:, i0] * ds[:, i1]), axis=1)
     V = _lapack_vectors(gs)
@@ -364,57 +374,25 @@ def _cyclic_sweeps(
     return sweeps, converged
 
 
-def _gram_solve(
-    g: np.ndarray,
-    tol: float,
-    max_sweeps: int,
-    floor: np.ndarray | float,
-    group_size: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The body of both public Gram solvers: the gated ``eigh`` per
-    matrix, then the cyclic loop on the rest, with one convergence group
-    per ``group_size`` consecutive matrices (``None``: the whole stack).
-    Returns ``W`` and per-group ``(rotations, sweeps, converged)``; a
-    group with no matrix outside the gate reports one sweep, converged."""
-    require(g.ndim == 3 and g.shape[1] == g.shape[2],
-            "stack of square matrices expected")
-    nb, k = g.shape[0], g.shape[1]
-    require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
-    if group_size is None:
-        ngroups = 1
-    else:
-        require(group_size >= 1 and nb % group_size == 0,
-                f"stack of {nb} matrices does not divide into groups "
-                f"of {group_size}")
-        ngroups = nb // group_size
-    size = nb // max(ngroups, 1)
-    group = np.arange(nb, dtype=np.intp) // max(size, 1)
-    W = np.broadcast_to(np.eye(k), g.shape).copy()
-    gated, rotations = _solve_gated(g, W, tol)
-    loop = np.flatnonzero(~gated)
-    sweeps, converged = _cyclic_sweeps(g, W, rotations, loop, group[loop],
-                                       ngroups, tol, max_sweeps, floor)
-    looped = np.zeros(ngroups, dtype=bool)
-    looped[group[loop]] = True
-    sweeps[~looped] = 1
-    converged[~looped] = True
-    return W, rotations.reshape(ngroups, size).sum(axis=1), sweeps, converged
-
-
-def gram_eigh_batched(
+def gram_eigh_grouped(
     g: np.ndarray,
     tol: float = 1e-12,
     max_sweeps: int = 60,
     floor: np.ndarray | float = 0.0,
-) -> tuple[np.ndarray, int, int, bool]:
-    """Diagonalise a *stack* of small symmetric matrices in place.
+    group_size: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonalise a *stack* of small symmetric matrices in place, with
+    independent convergence per group.
 
     The inner solve of the Gram-space block kernel
     (:mod:`repro.blockjacobi.kernel`): ``g`` of shape ``(B, k, k)`` —
-    typically the ``2b x 2b`` Gram matrices of all block pairs met in one
-    schedule step — is overwritten **in place** with ``W^T g W`` while
-    the orthogonal factors ``W`` (one per matrix) are built.  The ``B``
-    sub-problems are independent (their column sets are disjoint).
+    the ``2b x 2b`` Gram matrices of the block pairs met in one schedule
+    step — is overwritten **in place** with ``W^T g W`` while the
+    orthogonal factors ``W`` (one per matrix) are built.  The stack is
+    treated as ``G = B / group_size`` consecutive groups of
+    ``group_size`` matrices each; the block kernel makes one group of
+    the pairs one problem matrix meets in a step, so a single matrix's
+    step is one group.
 
     Each matrix takes one of two solvers, gated by its diagonal spread:
 
@@ -425,84 +403,51 @@ def gram_eigh_batched(
       smallest ``g_ii``, stable ties) and signed so ``diag(W) >= 0``,
       which makes ``W -> I`` as ``g`` becomes diagonal.  Such a matrix
       counts as ``rotations`` the pairs with
-      ``|g_pq| > tol * sqrt(g_pp g_qq)`` on entry, one sweep, and
-      converged.
+      ``|g_pq| > tol * sqrt(g_pp g_qq)`` on entry.
     * outside it (column-scaled or vanishing columns, where ``eigh``
       alone loses relative accuracy or stalls) cyclic two-sided Jacobi
       rotates every pair that fails the *relative* threshold
       ``|g_pq| > tol * sqrt(g_pp g_qq)``; pairs below it ride along
-      with exact identity rotations.  The loop exits once every pair of
-      every loop matrix satisfies
+      with exact identity rotations.  A group's loop exits once every
+      pair of *its own* loop matrices satisfies
       ``|g_pq| <= tol * sqrt(g_pp g_qq) + floor``, or after
-      ``max_sweeps`` sweeps.  ``floor`` (scalar or per-matrix array)
-      absorbs the Gram-formation noise a block kernel cannot rotate
-      below (``~ k * eps * max(g_ii)`` after each BLAS-3 application);
+      ``max_sweeps`` sweeps; a finished group leaves the gathered
+      working stack.  ``floor`` (scalar or per-matrix array) absorbs
+      the Gram-formation noise a block kernel cannot rotate below
+      (``~ k * eps * max(g_ii)`` after each BLAS-3 application);
       ``floor = 0`` demands full relative orthogonality as the
       one-sided reference kernel does.
 
+    The gate and ``eigh`` act per matrix and the loop per group, so the
+    arithmetic any group sees is bit-identical to a call on that group
+    alone — the property the batch API's conformance contract rests on.
     A matrix LAPACK fails on gets a NaN ``W`` (the kernels' breakdown
     signal) instead of an exception.
 
-    Returns ``(W, rotations, sweeps, converged)`` with ``W`` of shape
-    ``(B, k, k)`` and ``rotations`` summed over the stack; ``sweeps``
-    and ``converged`` are the loop's, or ``1`` and ``True`` when every
-    matrix is inside the gate.  The final squared column norms are the
+    Returns ``(W, rotations, sweeps, converged)``: ``W`` the full
+    ``(B, k, k)`` stack of factors, the other three per-group arrays of
+    shape ``(G,)``.  A group whose matrices all passed the gate reports
+    one sweep, converged.  The final squared column norms are the
     diagonals of ``g`` after the call.
     """
-    W, rotations, sweeps, converged = _gram_solve(g, tol, max_sweeps,
-                                                  floor, None)
-    return W, int(rotations[0]), int(sweeps[0]), bool(converged[0])
-
-
-def gram_eigh_grouped(
-    g: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 60,
-    floor: np.ndarray | float = 0.0,
-    group_size: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gram_eigh_batched` with *independent convergence per group*.
-
-    The stack ``g`` of ``G * group_size`` small symmetric matrices is
-    treated as ``G`` consecutive groups of ``group_size`` matrices each
-    — in the batched SVD, one group is the set of block pairs one
-    *problem matrix* meets in a schedule step.  The gate and the stacked
-    LAPACK ``eigh`` act per matrix exactly as in
-    :func:`gram_eigh_batched`.  The cyclic loop then runs on the
-    matrices outside the gate, and each group's loop exits as soon as
-    the worst relative off-diagonal of *its own* loop matrices clears
-    ``tol``; a finished group is excluded from the gathered working
-    stack.  A group whose matrices all passed the gate skips the loop
-    and reports one sweep, converged.  So the arithmetic any single
-    group experiences is bit-identical to a standalone
-    :func:`gram_eigh_batched` call on just that group.  That is the
-    property the many-matrix batch API's conformance contract rests on
-    — fusing problems into one super-batch must not change any
-    problem's result.
-
-    Returns ``(W, rotations, sweeps, converged)`` where ``W`` is the
-    full ``(G * group_size, k, k)`` stack of factors and the other three
-    are per-group arrays of shape ``(G,)``.
-    """
-    return _gram_solve(g, tol, max_sweeps, floor, group_size)
-
-
-def gram_eigh(
-    g: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 60,
-    floor: float = 0.0,
-) -> tuple[np.ndarray, int, int, bool]:
-    """Single-matrix view of :func:`gram_eigh_batched` (in place).
-
-    ``g`` of shape ``(k, k)`` is overwritten with ``W^T g W``; returns
-    ``(W, rotations, sweeps, converged)`` with ``W`` of shape
-    ``(k, k)``.  See :func:`gram_eigh_batched` for the semantics of
-    ``tol``, ``max_sweeps`` and ``floor``.
-    """
-    require(g.ndim == 2 and g.shape[0] == g.shape[1],
-            "square matrix expected")
-    W, rotations, sweeps, converged = gram_eigh_batched(
-        g[None, :, :], tol=tol, max_sweeps=max_sweeps, floor=floor
-    )
-    return W[0], rotations, sweeps, converged
+    require(g.ndim == 3 and g.shape[1] == g.shape[2],
+            "stack of square matrices expected")
+    nb, k = g.shape[0], g.shape[1]
+    require(k % 2 == 0, "gram_eigh_grouped needs an even dimension "
+                        "(2b columns)")
+    require(group_size >= 1 and nb % group_size == 0,
+            f"stack of {nb} matrices does not divide into groups "
+            f"of {group_size}")
+    ngroups = nb // group_size
+    group = np.arange(nb, dtype=np.intp) // group_size
+    W = np.broadcast_to(np.eye(k), g.shape).copy()
+    gated, rotations = _solve_gated(g, W, tol)
+    loop = np.flatnonzero(~gated)
+    sweeps, converged = _cyclic_sweeps(g, W, rotations, loop, group[loop],
+                                       ngroups, tol, max_sweeps, floor)
+    looped = np.zeros(ngroups, dtype=bool)
+    looped[group[loop]] = True
+    sweeps[~looped] = 1
+    converged[~looped] = True
+    return (W, rotations.reshape(ngroups, group_size).sum(axis=1), sweeps,
+            converged)

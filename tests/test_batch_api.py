@@ -73,11 +73,14 @@ class TestBatchConformance:
         for i in range(len(stack)):
             assert_results_identical(batch[i], svd(stack[i], **kw))
 
-    def test_batch_equals_loop_padded_width(self, rng):
-        # n=12 with b=2 under fat_tree: 6 blocks is not a power of two,
-        # so both paths must take the same transparent padding route
-        stack = np.stack([rng.standard_normal((14, 12)) for _ in range(4)])
-        kw = dict(ordering="fat_tree", kernel="gram", block_size=2)
+    @pytest.mark.parametrize("ordering,m,n", [("fat_tree", 14, 12),
+                                              ("ring_new", 12, 10)])
+    def test_batch_equals_loop_padded_width(self, rng, ordering, m, n):
+        # b=2: 6 blocks is not a power of two (fat_tree) and 5 blocks is
+        # odd (ring_new), so both paths must take the same transparent
+        # padding route
+        stack = np.stack([rng.standard_normal((m, n)) for _ in range(4)])
+        kw = dict(ordering=ordering, kernel="gram", block_size=2)
         batch = svd_batch(stack, **kw)
         for i in range(4):
             assert_results_identical(batch[i], svd(stack[i], **kw))

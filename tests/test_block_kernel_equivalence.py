@@ -18,8 +18,8 @@ from repro.blockjacobi import (
     BLOCK_KERNELS,
     BlockJacobiOptions,
     block_jacobi_svd,
-    solve_block_pair,
     solve_block_step,
+    solve_block_step_batch,
 )
 from repro import svd
 from repro.blockjacobi.kernel import _solve_reference_guarded
@@ -142,13 +142,45 @@ class TestBlockKernelEquivalence:
     def test_unknown_kernel_rejected_by_solver(self):
         X = np.eye(4)
         with pytest.raises(ValueError, match="unknown block kernel"):
-            solve_block_pair(X, None, np.arange(4), 1e-12, "desc", 2,
+            solve_block_step(X, None, [np.arange(4)], 1e-12, "desc", 2,
                              kernel="fused")
 
     def test_bad_sort_mode_rejected(self):
         X = np.eye(4)
         with pytest.raises(ValueError, match="sort must be one of"):
-            solve_block_pair(X, None, np.arange(4), 1e-12, "up", 2)
+            solve_block_step(X, None, [np.arange(4)], 1e-12, "up", 2)
+
+    def test_batch_step_sort_only_items_match_solo_steps(self):
+        # items whose pairs are already orthogonal rotate nothing: each
+        # pair's columns are only permuted into decreasing-norm order (V
+        # records the permutation), next to an item that needs a solve
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((20, 16)))
+        norms = rng.permutation(np.arange(1.0, 17.0))
+        X0 = np.stack([q * norms, rng.standard_normal((20, 16)),
+                       q * np.arange(16.0, 0.0, -1.0)])
+        pairs = [np.arange(i, i + 4) for i in range(0, 16, 4)]
+        moves = sum(np.count_nonzero(np.argsort(-norms[c], kind="stable")
+                                     != np.arange(4)) // 2 for c in pairs)
+        Xs = X0.copy()
+        Vs = np.broadcast_to(np.eye(16), (3, 16, 16)).copy()
+        applied, worst = solve_block_step_batch(
+            Xs, Vs, np.arange(3), pairs, 1e-12, "desc", 2, "gram")
+        for i, exchanged in ((0, moves), (1, 0), (2, 0)):
+            X, V = X0[i].copy(), np.eye(16)
+            stats, mx = solve_block_step(X, V, pairs, 1e-12, "desc", 2, "gram")
+            assert np.array_equal(Xs[i], X)
+            assert np.array_equal(Vs[i], V)
+            assert applied[i] == stats.applied
+            assert worst[i] == mx
+            assert stats.exchanged == exchanged
+            if i != 1:
+                assert stats.applied == 0 and mx <= 1e-12
+                assert np.array_equal(X, X0[i] @ V)
+                for cols in pairs:
+                    assert np.all(np.diff(np.linalg.norm(X[:, cols], axis=0))
+                                  < 0)
+        assert moves > 0 and applied[1] > 0
 
 
 class TestBreakdownFallback:
@@ -167,9 +199,31 @@ class TestBreakdownFallback:
             if i == 1:
                 _solve_reference_guarded(Xw, Vw, cols, 1e-12, "desc", 2)
             else:
-                solve_block_pair(Xw, Vw, cols, 1e-12, "desc", 2, kernel="gram")
+                solve_block_step(Xw, Vw, [cols], 1e-12, "desc", 2, kernel="gram")
             assert np.array_equal(X[:, cols], Xw[:, cols])
             assert np.array_equal(V[:, cols], Vw[:, cols])
+
+    def test_batch_step_breakdown_matches_solo_steps(self):
+        # a poisoned batch item is re-solved pair by pair exactly as the
+        # solo step re-solves it; its neighbours keep their solo bits
+        X0 = np.random.default_rng(5).standard_normal((3, 20, 16))
+        X0[1, :, 5] *= 1e200  # the Gram form of item 1, pair 1 overflows
+        pairs = [np.arange(i, i + 4) for i in range(0, 16, 4)]
+        Xs = X0.copy()
+        Vs = np.broadcast_to(np.eye(16), (3, 16, 16)).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            applied, worst = solve_block_step_batch(
+                Xs, Vs, np.arange(3), pairs, 1e-12, "desc", 2, "gram")
+            for i in range(3):
+                X, V = X0[i].copy(), np.eye(16)
+                stats, mx = solve_block_step(X, V, pairs, 1e-12, "desc", 2,
+                                             "gram")
+                if i == 1:
+                    assert stats.fallbacks == 1
+                assert np.array_equal(Xs[i], X)
+                assert np.array_equal(Vs[i], V)
+                assert applied[i] == stats.applied
+                assert worst[i] == mx
 
     def test_lapack_failure_falls_back_to_guarded_reference(self,
                                                             monkeypatch):
@@ -191,6 +245,29 @@ class TestBreakdownFallback:
             _solve_reference_guarded(Xw, Vw, cols, 1e-12, "desc", 2)
             assert np.array_equal(X[:, cols], Xw[:, cols])
             assert np.array_equal(V[:, cols], Vw[:, cols])
+
+    def test_fallen_back_step_reports_its_per_pair_worst(self, monkeypatch):
+        # with LAPACK refusing, the step is re-solved pair by pair: the
+        # pair outside the eigh gate keeps the gram kernel, the others
+        # fall back, and the step's convergence signal is the worst of
+        # those re-solves, not the measure of the step's own Grams
+        import repro.eig.jacobi as jac
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(jac, "_lapack_eigh", refuse)
+        X0 = np.random.default_rng(7).standard_normal((20, 16))
+        X0[:, :4] *= np.logspace(0, -6, 4)  # pair 0 is outside the gate
+        pairs = [np.arange(i, i + 4) for i in range(0, 16, 4)]
+        stats, worst = solve_block_step(X0.copy(), np.eye(16), pairs, 1e-12,
+                                        "desc", 2, "gram")
+        assert stats.fallbacks == len(pairs) - 1
+        want = [solve_block_step(X0.copy(), np.eye(16), pairs[:1], 1e-12,
+                                 "desc", 2, "gram")[1]]
+        want += [_solve_reference_guarded(X0.copy(), np.eye(16), cols, 1e-12,
+                                          "desc", 2)[1] for cols in pairs[1:]]
+        assert worst == max(want)
 
 
 class TestEighGate:

@@ -5,8 +5,6 @@ import pytest
 
 from repro.eig import (
     EigOptions,
-    gram_eigh,
-    gram_eigh_batched,
     jacobi_eigh,
     symmetric_off_norm,
 )
@@ -149,6 +147,21 @@ def scaled_gram(k, rng):
     return g
 
 
+def solve_one(g, **kw):
+    """``gram_eigh_grouped`` on one group of one matrix (``g`` rotated
+    in place); per-group results as scalars."""
+    W, rotations, sweeps, converged = gram_eigh_grouped(g[None], **kw)
+    return W[0], int(rotations[0]), int(sweeps[0]), bool(converged[0])
+
+
+def solve_group(gs, **kw):
+    """``gram_eigh_grouped`` on one group of ``len(gs)`` matrices (in
+    place); per-group results as scalars."""
+    W, rotations, sweeps, converged = gram_eigh_grouped(
+        gs, group_size=len(gs), **kw)
+    return W, int(rotations[0]), int(sweeps[0]), bool(converged[0])
+
+
 class TestGramEigh:
     """The in-place solver behind the gram block kernel (a random Gram
     takes its LAPACK branch, a ``scaled_gram`` its cyclic loop)."""
@@ -156,7 +169,7 @@ class TestGramEigh:
     def test_diagonalizes_and_matches_eigh(self, rng):
         g = random_gram(8, rng)
         ref = np.sort(np.linalg.eigvalsh(g))[::-1]
-        W, rotations, sweeps, converged = gram_eigh(g)
+        W, rotations, sweeps, converged = solve_one(g)
         assert converged and rotations > 0 and sweeps >= 1
         # g was overwritten with W^T g W, which must now be diagonal
         off = g - np.diag(np.diag(g))
@@ -165,23 +178,23 @@ class TestGramEigh:
 
     def test_w_is_orthogonal(self, rng):
         g = random_gram(8, rng)
-        W, *_ = gram_eigh(g)
+        W, *_ = solve_one(g)
         assert np.max(np.abs(W.T @ W - np.eye(8))) <= 1e-13
 
     def test_diagonal_input_converges_without_rotations(self):
         g = np.diag([4.0, 3.0, 2.0, 1.0])
-        W, rotations, sweeps, converged = gram_eigh(g)
+        W, rotations, sweeps, converged = solve_one(g)
         assert converged and rotations == 0 and sweeps == 1
         assert np.array_equal(W, np.eye(4))
 
     def test_batched_matches_scalar_per_matrix(self, rng):
         gs = np.stack([random_gram(6, rng) for _ in range(5)])
         singles = [g.copy() for g in gs]
-        Ws, rotations, sweeps, converged = gram_eigh_batched(gs)
+        Ws, rotations, sweeps, converged = solve_group(gs)
         assert converged
         total = 0
         for i, g in enumerate(singles):
-            Wi, ri, *_ = gram_eigh(g)
+            Wi, ri, *_ = solve_one(g)
             total += ri
             assert np.array_equal(Ws[i], Wi)
             assert np.array_equal(gs[i], g)
@@ -193,9 +206,9 @@ class TestGramEigh:
         # (purely relative) rotation threshold: a dominant floor makes
         # the solver settle after a single sweep while still rotating
         g = scaled_gram(12, rng)
-        base_sweeps = gram_eigh(g.copy())[2]
+        base_sweeps = solve_one(g.copy())[2]
         assert base_sweeps > 1
-        _, rotations, sweeps, converged = gram_eigh(g, floor=1e6)
+        _, rotations, sweeps, converged = solve_one(g, floor=1e6)
         assert converged and sweeps == 1 and rotations > 0
 
     def test_batched_floor_broadcasts_per_matrix(self, rng):
@@ -203,7 +216,7 @@ class TestGramEigh:
         # with floor 0 keep the strict measure and fully diagonalize
         gs = np.stack([random_gram(4, rng) for _ in range(3)])
         floor = np.array([0.0, 1e6, 0.0])
-        _, _, _, converged = gram_eigh_batched(gs, floor=floor)
+        _, _, _, converged = solve_group(gs, floor=floor)
         assert converged
         for i in (0, 2):
             off = gs[i] - np.diag(np.diag(gs[i]))
@@ -211,7 +224,7 @@ class TestGramEigh:
 
     def test_sweep_budget_reports_not_converged(self, rng):
         g = scaled_gram(12, rng)
-        _, _, sweeps, converged = gram_eigh(g, max_sweeps=1)
+        _, _, sweeps, converged = solve_one(g, max_sweeps=1)
         assert sweeps == 1 and not converged
 
     def test_grouped_groups_converge_independently(self, rng):
@@ -219,7 +232,7 @@ class TestGramEigh:
         # goes on: each group's bits equal a standalone batched call
         gs = np.stack([scaled_gram(8, rng), scaled_gram(8, rng)])
         floor = np.array([1e6, 0.0])
-        solo = [gram_eigh_batched(gs[i:i + 1].copy(), floor=floor[i:i + 1])
+        solo = [solve_group(gs[i:i + 1].copy(), floor=floor[i:i + 1])
                 for i in range(2)]
         W, rotations, sweeps, converged = gram_eigh_grouped(
             gs, floor=floor, group_size=1)
@@ -235,7 +248,7 @@ class TestGramEighGate:
     def test_solves_in_one_sweep(self, rng):
         g = random_gram(16, rng)
         gmax = np.max(np.diag(g))
-        W, rotations, sweeps, converged = gram_eigh(g)
+        W, rotations, sweeps, converged = solve_one(g)
         assert converged and sweeps == 1 and rotations > 0
         off = g - np.diag(np.diag(g))
         assert np.max(np.abs(off)) <= 1e-11 * gmax
@@ -251,7 +264,7 @@ class TestGramEighGate:
         e = rng.standard_normal((k, k))
         g = np.diag(rng.permutation(np.arange(1.0, k + 1.0))) \
             + eps * (e + e.T) / 2.0
-        W, *_ = gram_eigh(g)
+        W, *_ = solve_one(g)
         assert np.max(np.abs(W - np.eye(k))) <= 10 * eps
 
     def test_rotations_count_pairs_above_threshold_on_entry(self):
@@ -259,16 +272,16 @@ class TestGramEighGate:
         for p, q, v in ((0, 1, 0.1), (2, 5, 0.3), (3, 4, 1e-14)):
             g[p, q] = g[q, p] = v
         # (3, 4) sits below 1e-12 * sqrt(4 * 5): two pairs count
-        _, rotations, sweeps, converged = gram_eigh(g)
+        _, rotations, sweeps, converged = solve_one(g)
         assert rotations == 2 and sweeps == 1 and converged
 
     def test_mixed_stack_matches_solo_bitwise(self, rng):
         # one matrix on each side of the gate: each W (and rotated g)
         # equals the one its matrix gets when solved alone
         gs = np.stack([random_gram(12, rng), scaled_gram(12, rng)])
-        solo = [gram_eigh(g.copy()) for g in gs]
+        solo = [solve_one(g.copy()) for g in gs]
         grouped_in = gs.copy()
-        Ws, rotations, _, _ = gram_eigh_batched(gs)
+        Ws, rotations, _, _ = solve_group(gs)
         Wg, rot_g, sweeps_g, conv_g = gram_eigh_grouped(grouped_in,
                                                         group_size=1)
         assert rotations == solo[0][1] + solo[1][1]
@@ -292,8 +305,8 @@ class TestGramEighGate:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return lapack(a)
 
-        want, *_ = gram_eigh(good.copy())
+        want, *_ = solve_one(good.copy())
         monkeypatch.setattr(jac, "_lapack_eigh", eigh)
-        Ws, *_ = gram_eigh_batched(np.stack([good, bad]))
+        Ws, *_ = solve_group(np.stack([good, bad]))
         assert np.array_equal(Ws[0], want)
         assert np.isnan(Ws[1]).all()
