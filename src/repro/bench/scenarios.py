@@ -81,6 +81,17 @@ __all__ = ["Scenario", "default_scenarios", "run_scenario", "scenario_names"]
 #: across runs and machines
 _SEED = 2024
 
+#: the kinds that time one :func:`~repro.blockjacobi.block_jacobi_svd`
+#: run (the gram kernel unless the params name one): the further
+#: ``BlockJacobiOptions`` fields each takes from its params, and the
+#: params it reports in meta
+_BLOCK_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "block-kernel": ((), ()),
+    "svd-parallel-exec": (("executor", "workers"), ("executor", "workers")),
+    "sanitize-overhead": (("executor", "workers", "sanitize"),
+                          ("sanitize", "executor")),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -324,15 +335,17 @@ def run_scenario(
                 converged=bool(r.converged),
             )
 
-    elif scenario.kind == "block-kernel":
+    elif scenario.kind in _BLOCK_KINDS:
         from ..blockjacobi import BlockJacobiOptions, block_jacobi_svd
         from ..orderings import make_ordering
 
+        knobs, reported = _BLOCK_KINDS[scenario.kind]
         rng = np.random.default_rng(_SEED)
         a = rng.standard_normal((p["m"], p["n"]))
         ordering = make_ordering(p["ordering"], p["n"] // p["block_size"])
         options = BlockJacobiOptions(block_size=p["block_size"],
-                                     kernel=p["kernel"])
+                                     kernel=p.get("kernel", "gram"),
+                                     **{k: p[k] for k in knobs})
 
         def work() -> None:
             r = block_jacobi_svd(a, ordering=ordering, options=options)
@@ -340,51 +353,7 @@ def run_scenario(
                 sweeps=r.sweeps,
                 rotations=r.rotations,
                 converged=bool(r.converged),
-            )
-
-    elif scenario.kind == "svd-parallel-exec":
-        from ..blockjacobi import BlockJacobiOptions, block_jacobi_svd
-        from ..orderings import make_ordering
-
-        rng = np.random.default_rng(_SEED)
-        a = rng.standard_normal((p["m"], p["n"]))
-        ordering = make_ordering(p["ordering"], p["n"] // p["block_size"])
-        options = BlockJacobiOptions(block_size=p["block_size"],
-                                     kernel="gram",
-                                     executor=p["executor"],
-                                     workers=p["workers"])
-
-        def work() -> None:
-            r = block_jacobi_svd(a, ordering=ordering, options=options)
-            meta.update(
-                sweeps=r.sweeps,
-                rotations=r.rotations,
-                converged=bool(r.converged),
-                executor=p["executor"],
-                workers=p["workers"],
-            )
-
-    elif scenario.kind == "sanitize-overhead":
-        from ..blockjacobi import BlockJacobiOptions, block_jacobi_svd
-        from ..orderings import make_ordering
-
-        rng = np.random.default_rng(_SEED)
-        a = rng.standard_normal((p["m"], p["n"]))
-        ordering = make_ordering(p["ordering"], p["n"] // p["block_size"])
-        options = BlockJacobiOptions(block_size=p["block_size"],
-                                     kernel="gram",
-                                     executor=p["executor"],
-                                     workers=p["workers"],
-                                     sanitize=p["sanitize"])
-
-        def work() -> None:
-            r = block_jacobi_svd(a, ordering=ordering, options=options)
-            meta.update(
-                sweeps=r.sweeps,
-                rotations=r.rotations,
-                converged=bool(r.converged),
-                sanitize=p["sanitize"],
-                executor=p["executor"],
+                **{k: p[k] for k in reported},
             )
 
     elif scenario.kind == "svd-batch":

@@ -34,7 +34,7 @@ from ..orderings.registry import make_ordering
 from ..svd.convergence import off_norm
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
-from .kernel import BLOCK_KERNELS, solve_block_step, solve_block_step_batch
+from .kernel import BLOCK_KERNELS, solve_block_step_batch
 
 __all__ = ["BlockJacobiOptions", "block_jacobi_svd", "block_jacobi_svd_batch"]
 
@@ -143,83 +143,13 @@ def block_jacobi_svd(
 
     The column count must be ``2 P b`` for an integer number of leaves
     ``P`` admissible to the chosen ordering (the ordering runs on the
-    ``2P`` blocks).
+    ``2P`` blocks).  The run is :func:`block_jacobi_svd_batch` on a
+    batch of one matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     require(a.ndim == 2, "matrix expected")
-    m, n = a.shape
-    opts = options or BlockJacobiOptions()
-    b = opts.block_size
-    require(b >= 1, "block_size must be positive")
-    require(n % (2 * b) == 0, f"n={n} must be a multiple of 2*block_size={2 * b}")
-    n_blocks = n // b
-    if isinstance(ordering, Ordering):
-        require(ordering.n == n_blocks, "ordering must cover the block count")
-        ord_obj = ordering
-    else:
-        ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
-
-    executor = opts.make_executor()
-    X = a.copy()
-    V = np.eye(n) if compute_uv else None
-    # block_cols[s] = the matrix columns currently stored in block slot s
-    block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
-
-    history: list[SweepRecord] = []
-    converged = False
-    sweeps = 0
-    sanitizer = opts.make_sanitizer()
-    if sanitizer is not None:
-        executor.sanitizer = sanitizer
-        sanitizer.arm_reference(X)
-    try:
-        for sweep in range(opts.max_sweeps):
-            plan = compile_schedule(ord_obj.sweep(sweep))
-            worst = 0.0
-            rotations = 0
-            for cs in plan.steps:
-                if cs.n_pairs:
-                    pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                    st, mx = solve_block_step(X, V, pair_cols, opts.tol,
-                                              opts.sort, opts.inner_sweeps,
-                                              opts.kernel, executor=executor,
-                                              sanitizer=sanitizer)
-                    worst = max(worst, mx)
-                    rotations += st.applied
-                if cs.has_moves:
-                    # fancy assignment materialises the gather first, so
-                    # the move phase keeps its snapshot semantics
-                    block_cols[cs.dst] = block_cols[cs.src]
-            sweeps = sweep + 1
-            if sanitizer is not None:
-                sanitizer.check_sweep(X, V, sweep=sweeps)
-            history.append(
-                SweepRecord(
-                    sweep=sweeps,
-                    off_norm=off_norm(X),
-                    max_rel_gamma=worst,
-                    rotations=rotations,
-                    skipped=0,
-                )
-            )
-            if worst <= opts.tol:
-                converged = True
-                break
-    finally:
-        executor.close()
-
-    watchdog_msg = None
-    if not converged:
-        # same refusal-to-be-silent contract as the scalar driver: diagnose
-        # the off-norm series and warn (see repro.svd.hestenes)
-        watchdog_msg = _watchdog_message(history, opts.max_sweeps)
-        warnings.warn(
-            f"block Jacobi SVD did not converge: {watchdog_msg}; the result "
-            "is a partial decomposition (check result.converged)",
-            ConvergenceWarning, stacklevel=2)
-
-    return _finalize_block_result(X, V, m, n, compute_uv, history,
-                                  converged, sweeps, watchdog_msg)
+    return block_jacobi_svd_batch(a[None], ordering, options, compute_uv,
+                                  **ordering_kwargs)[0]
 
 
 def _watchdog_message(history: list[SweepRecord], max_sweeps: int) -> str:
@@ -240,14 +170,9 @@ def _finalize_block_result(
     compute_uv: bool,
     history: list[SweepRecord],
     converged: bool,
-    sweeps: int,
     watchdog_msg: str | None,
 ) -> SVDResult:
-    """Extract the decomposition from a finished column buffer.
-
-    Shared by the solo and batch drivers so a batch item's result is
-    produced by literally the same arithmetic as a standalone run.
-    """
+    """Extract the decomposition from one item's finished column buffer."""
     norms = np.linalg.norm(X, axis=0)
     sigma_by_slot = norms.copy()
     scale = max(1.0, float(norms.max(initial=0.0)))
@@ -273,7 +198,7 @@ def _finalize_block_result(
     return SVDResult(
         u=u, sigma=sigma, v=v, rank=rank,
         converged=sigma_converged(sigma, converged),
-        sweeps=sweeps, rotations=sum(h.rotations for h in history),
+        sweeps=len(history), rotations=sum(h.rotations for h in history),
         sigma_by_slot=sigma_by_slot, emerged_sorted=emerged, history=history,
         watchdog=watchdog_msg,
     )
@@ -288,21 +213,21 @@ def block_jacobi_svd_batch(
 ) -> list[SVDResult]:
     """Block Jacobi SVD of a ``(B, m, n)`` stack of independent problems.
 
-    Every problem runs the same ordering, so the schedule is compiled
-    once per sweep (the plan-cache hit is shared by all ``B`` items) and
-    each step's local solves fuse the batch into one problem-axis
-    super-batch (:func:`~repro.blockjacobi.kernel.solve_block_step_batch`).
+    The one block sweep loop: :func:`block_jacobi_svd` runs it on a
+    batch of one matrix.  Every problem runs the same ordering, so the
+    schedule is compiled once per sweep (the plan-cache hit is shared by
+    all ``B`` items) and each step's local solves fuse the batch into
+    one problem-axis super-batch
+    (:func:`~repro.blockjacobi.kernel.solve_block_step_batch`).
     Per-item convergence masks drop finished matrices out of later
     sweeps.  Results are **bit-identical** to calling
     :func:`block_jacobi_svd` on each slice with the same options.
 
     The executor (when ``workers > 1``) chunks the step's GEMM phases
-    over the fused (item, block pair) rows, the rule a single matrix's
-    step follows over its pairs.  With the sanitizer
-    armed, each item gets its own sweep-boundary canaries (SAN002/003);
-    the per-step write-set protocol (SAN001) covers the solo path and is
-    not armed here — the batch path is instead pinned to the solo path
-    bit-for-bit by the conformance suite.
+    over the fused (item, block pair) rows.  With the sanitizer armed
+    (one per run), every step is a write-set record over those rows
+    (SAN001) and each item gets its own sweep-boundary canaries
+    (SAN002/003).
     """
     stack = np.asarray(stack, dtype=np.float64)
     require(stack.ndim == 3, "stack of matrices expected")
@@ -320,22 +245,18 @@ def block_jacobi_svd_batch(
 
     executor = opts.make_executor()
     Xs = stack.copy()
-    Vs = (np.broadcast_to(np.eye(n), (nitems, n, n)).copy()
-          if compute_uv else None)
-    # the block trajectory is data-independent, hence shared by all items
+    Vs = np.eye(n)[None].repeat(nitems, axis=0) if compute_uv else None
+    # the block trajectory is data-independent, hence shared by all items;
+    # block_cols[s] = the matrix columns currently stored in block slot s
     block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
 
     histories: list[list[SweepRecord]] = [[] for _ in range(nitems)]
     converged = np.zeros(nitems, dtype=bool)
-    sweeps_used = np.zeros(nitems, dtype=np.intp)
     active = np.arange(nitems, dtype=np.intp)
-    sanitizers = None
-    if opts.make_sanitizer() is not None:
-        from ..verify.sanitize import RuntimeSanitizer
-
-        sanitizers = [RuntimeSanitizer() for _ in range(nitems)]
-        for i in range(nitems):
-            sanitizers[i].arm_reference(Xs[i])
+    sanitizer = opts.make_sanitizer()
+    if sanitizer is not None:
+        executor.sanitizer = sanitizer
+        sanitizer.arm_reference(Xs)
     try:
         for sweep in range(opts.max_sweeps):
             if active.size == 0:
@@ -348,22 +269,26 @@ def block_jacobi_svd_batch(
                     pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
                     ap, wo = solve_block_step_batch(
                         Xs, Vs, active, pair_cols, opts.tol, opts.sort,
-                        opts.inner_sweeps, opts.kernel, executor=executor)
-                    worst = np.maximum(worst, wo)
+                        opts.inner_sweeps, opts.kernel, executor=executor,
+                        sanitizer=sanitizer)
+                    np.maximum(worst, wo, out=worst)
                     rotations += ap
                 if cs.has_moves:
+                    # fancy assignment materialises the gather first, so
+                    # the move phase keeps its snapshot semantics
                     block_cols[cs.dst] = block_cols[cs.src]
-            for j, i in enumerate(active):
-                sweeps_used[i] = sweep + 1
-                if sanitizers is not None:
-                    sanitizers[i].check_sweep(
-                        Xs[i], None if Vs is None else Vs[i], sweep=sweep + 1)
+            for i, w, r in zip(active.tolist(), worst.tolist(),
+                               rotations.tolist()):
+                if sanitizer is not None:
+                    sanitizer.check_sweep(
+                        Xs[i], None if Vs is None else Vs[i],
+                        sweep=sweep + 1, item=i)
                 histories[i].append(
                     SweepRecord(
                         sweep=sweep + 1,
                         off_norm=off_norm(Xs[i]),
-                        max_rel_gamma=float(worst[j]),
-                        rotations=int(rotations[j]),
+                        max_rel_gamma=w,
+                        rotations=r,
                         skipped=0,
                     )
                 )
@@ -376,18 +301,22 @@ def block_jacobi_svd_batch(
     watchdogs: list[str | None] = [None] * nitems
     stuck = np.flatnonzero(~converged)
     if stuck.size:
+        # same refusal-to-be-silent contract as the scalar driver: diagnose
+        # the off-norm series and warn once (see repro.svd.hestenes)
         for i in stuck:
             watchdogs[i] = _watchdog_message(histories[i], opts.max_sweeps)
+        which = ("" if nitems == 1 else
+                 f" on {stuck.size} of {nitems} matrices (first: item "
+                 f"{int(stuck[0])})")
         warnings.warn(
-            f"block Jacobi SVD batch: {stuck.size} of {nitems} matrices did "
-            f"not converge (first: item {int(stuck[0])}: {watchdogs[stuck[0]]}); "
-            "partial decompositions returned (check result.converged per item)",
+            f"block Jacobi SVD did not converge{which}: "
+            f"{watchdogs[stuck[0]]}; a non-converged result is a partial "
+            "decomposition (check result.converged)",
             ConvergenceWarning, stacklevel=2)
 
     return [
         _finalize_block_result(
             Xs[i], None if Vs is None else Vs[i], m, n, compute_uv,
-            histories[i], bool(converged[i]), int(sweeps_used[i]),
-            watchdogs[i])
+            histories[i], bool(converged[i]), watchdogs[i])
         for i in range(nitems)
     ]

@@ -30,7 +30,8 @@ convergence group per matrix) and one stacked application — on a
 simulated machine this is exactly the work the leaves do concurrently.
 :func:`solve_block_step` runs the body as a batch of one matrix and
 :func:`solve_block_step_batch` as it is, so both give the same bits
-for the same matrix.  The simulator fast path
+for the same matrix; the body also holds the runtime sanitizer's step
+records.  The simulator fast path
 (:func:`fastpath_gram_step`) keeps its own transposed row storage but
 shares the body's measure, factor and sort-exchange helpers.
 
@@ -156,36 +157,12 @@ def solve_block_step(
     sweep-checkpoint rollback instead of garbage output.
 
     ``sanitizer`` (a :class:`~repro.verify.sanitize.RuntimeSanitizer`)
-    opens a write-set record for the step: the solvers report the column
-    sets they actually scatter into, and the record is cross-checked
-    against the per-pair column sets when the step closes (rule
-    ``SAN001``).
+    gets the step's write-set record (rule ``SAN001``), as in
+    :func:`solve_block_step_batch`.
     """
-    require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
-    if len(pair_cols) == 0:
-        return RotationStats(), 0.0
-    require(kernel in BLOCK_KERNELS,
-            f"unknown block kernel {kernel!r}; "
-            f"available: {', '.join(BLOCK_KERNELS)}")
-    cols = _pair_array(pair_cols)
-    Xs = X[None]
-    Vs = None if V is None else V[None]
-    if sanitizer is None:
-        counts, worst = _solve_step(Xs, Vs, _SOLO, cols, tol, sort,
-                                    inner_sweeps, kernel, executor, None)
-    else:
-        expected = [frozenset(int(c) for c in row) for row in cols]
-        workers = 1 if executor is None else executor.workers
-        sanitizer.begin_step(len(cols), expected, workers=workers)
-        try:
-            counts, worst = _solve_step(Xs, Vs, _SOLO, cols, tol, sort,
-                                        inner_sweeps, kernel, executor,
-                                        sanitizer)
-        except BaseException:
-            # the step never completed; its write-set record is meaningless
-            sanitizer.abort_step()
-            raise
-        sanitizer.end_step()
+    counts, worst = _solve_step(X[None], None if V is None else V[None],
+                                _SOLO, pair_cols, tol, sort, inner_sweeps,
+                                kernel, executor, sanitizer)
     return RotationStats(*counts[0].tolist()), float(worst[0])
 
 
@@ -199,6 +176,7 @@ def solve_block_step_batch(
     inner_sweeps: int,
     kernel: str = "gram",
     executor=None,
+    sanitizer=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve one schedule step for *many problem matrices* at once.
 
@@ -223,16 +201,17 @@ def solve_block_step_batch(
     reference kernel's pair loop) over the fused (item, pair) rows;
     chunks write disjoint slices, so any worker count yields the same
     bits.
+
+    ``sanitizer`` (a :class:`~repro.verify.sanitize.RuntimeSanitizer`)
+    opens a write-set record for the step over its fused rows: row
+    ``(i, p)`` may write the keys ``i * n + c`` of its pair's columns
+    ``c``, the solvers report the keys they actually scatter into, and
+    a phase that runs only some of the items checks its rows in a scope
+    of its own (rule ``SAN001``).
     """
-    require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
-    require(kernel in BLOCK_KERNELS,
-            f"unknown block kernel {kernel!r}; "
-            f"available: {', '.join(BLOCK_KERNELS)}")
-    items = np.asarray(items, dtype=np.intp)
-    if items.size == 0 or len(pair_cols) == 0:
-        return np.zeros(items.size, dtype=np.intp), np.zeros(items.size)
-    counts, worst = _solve_step(Xs, Vs, items, _pair_array(pair_cols), tol,
-                                sort, inner_sweeps, kernel, executor, None)
+    counts, worst = _solve_step(Xs, Vs, np.asarray(items, dtype=np.intp),
+                                pair_cols, tol, sort, inner_sweeps, kernel,
+                                executor, sanitizer)
     return counts[:, _APPLIED], worst
 
 
@@ -282,11 +261,32 @@ def _take_items(a: np.ndarray, nb: int, pos: np.ndarray) -> np.ndarray:
     return a.reshape(-1, nb, *a.shape[1:])[pos].reshape(-1, *a.shape[1:])
 
 
+def _write_keys(items: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The write-set keys of the fused (item, pair) rows of ``items``
+    (``(len(items) * nb, 2b)``): column ``c`` of matrix ``i`` is key
+    ``i * n + c``, so for a batch of one a key is the column id."""
+    return (items[:, None, None] * n + cols).reshape(-1, cols.shape[1])
+
+
+def _write_sets(keys: np.ndarray) -> tuple[int, list[frozenset[int]]]:
+    """``(work items, per-item write-sets)`` of a sanitizer scope over
+    the rows holding ``keys``."""
+    return len(keys), [frozenset(k) for k in keys.tolist()]
+
+
+def _begin_scope(sanitizer, keys: np.ndarray, step_rows: int) -> None:
+    """Give a phase that runs only some of the step's ``step_rows`` rows
+    (its rows hold ``keys``) a sanitizer scope of its own; phases run
+    one after another, so checking them apart misses no race."""
+    if len(keys) < step_rows:
+        sanitizer.begin_scope(*_write_sets(keys))
+
+
 def _solve_step(
     Xs: np.ndarray,
     Vs: np.ndarray | None,
     items: np.ndarray,
-    cols: np.ndarray,
+    pair_cols: "list[np.ndarray] | np.ndarray",
     tol: float,
     sort: str | None,
     inner_sweeps: int,
@@ -294,8 +294,8 @@ def _solve_step(
     executor,
     sanitizer,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one step body: solve the met pairs ``cols`` of every matrix
-    ``Xs[i]``, ``i`` in ``items``, in place.
+    """The one step body: solve the met pairs ``pair_cols`` of every
+    matrix ``Xs[i]``, ``i`` in ``items``, in place.
 
     Returns per-item counters (``(len(items), 5)``, one column per
     :class:`~repro.svd.rotations.RotationStats` field) and per-item worst
@@ -303,20 +303,43 @@ def _solve_step(
     :func:`_solve_gram`; an item it reports broken (non-finite Gram or
     factor, columns untouched) is re-solved pair by pair through
     :func:`_solve_pairs`, which is also the whole reference kernel.
+    With a ``sanitizer`` the step is one write-set record.
     """
-    nb = len(cols)
+    require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
+    require(kernel in BLOCK_KERNELS,
+            f"unknown block kernel {kernel!r}; "
+            f"available: {', '.join(BLOCK_KERNELS)}")
     counts = np.zeros((len(items), len(_COUNTERS)), dtype=np.intp)
     worst = np.zeros(len(items))
-    if kernel == "gram":
-        broken = _solve_gram(Xs, Vs, items, cols, tol, sort, inner_sweeps,
-                             executor, sanitizer, counts, worst)
-        if broken.size == 0:
-            return counts, worst
-        rows = (broken[:, None] * nb + np.arange(nb)).reshape(-1)
-    else:
-        rows = np.arange(len(items) * nb)
-    _solve_pairs(Xs, Vs, items, rows, cols, tol, sort, inner_sweeps, kernel,
-                 executor, sanitizer, counts, worst)
+    if len(items) == 0 or len(pair_cols) == 0:
+        return counts, worst
+    cols = _pair_array(pair_cols)
+    nb = len(cols)
+    if sanitizer is not None:
+        sanitizer.begin_step(
+            *_write_sets(_write_keys(items, cols, Xs.shape[2])),
+            workers=1 if executor is None else executor.workers)
+    try:
+        if kernel == "gram":
+            broken = _solve_gram(Xs, Vs, items, cols, tol, sort,
+                                 inner_sweeps, executor, sanitizer, counts,
+                                 worst)
+            if broken.size:
+                _solve_pairs(Xs, Vs, items,
+                             (broken[:, None] * nb + np.arange(nb)).reshape(-1),
+                             cols, tol, sort, inner_sweeps, kernel, executor,
+                             sanitizer, counts, worst)
+        else:
+            _solve_pairs(Xs, Vs, items, np.arange(len(items) * nb), cols,
+                         tol, sort, inner_sweeps, kernel, executor,
+                         sanitizer, counts, worst)
+    except BaseException:
+        if sanitizer is not None:
+            # the step never completed; its write-set record is meaningless
+            sanitizer.abort_step()
+        raise
+    if sanitizer is not None:
+        sanitizer.end_step()
     return counts, worst
 
 
@@ -343,6 +366,9 @@ def _solve_pairs(
     ``executor`` may chunk the rows; results merge in chunk order.
     """
     nb = len(cols)
+    if sanitizer is not None:
+        keys = _write_keys(items, cols, Xs.shape[2])[rows]
+        _begin_scope(sanitizer, keys, len(items) * nb)
 
     def solve(lo: int, hi: int) -> list:
         out = []
@@ -362,7 +388,7 @@ def _solve_pairs(
     if sanitizer is not None:
         # the per-pair solves rewrite every column of their pairs
         for lo, hi in _phase_bounds(executor, len(rows), chunked):
-            sanitizer.record_touch(lo, hi, cols[rows[lo:hi] % nb])
+            sanitizer.record_touch(lo, hi, keys[lo:hi])
 
 
 def _solve_pair(
@@ -424,7 +450,7 @@ def _solve_gram(
     """
     nm = len(items)
     nb, k = cols.shape
-    m = Xs.shape[1]
+    m, n = Xs.shape[1:]
     XsT = Xs.transpose(0, 2, 1)  # (B, n, m): columns as rows
     VsT = None if Vs is None else Vs.transpose(0, 2, 1)
     Ys = np.empty((nm * nb, k, m))  # Ys[r] = Y_r^T
@@ -465,7 +491,9 @@ def _solve_gram(
             if VsT is not None:
                 VsT[item, dst] = VsT[item, src]
             if sanitizer is not None:
-                sanitizer.record_touch(0, nb, dst)
+                _begin_scope(sanitizer, _write_keys(done_items, cols, n),
+                             nm * nb)
+                sanitizer.record_touch(0, done.size * nb, item * n + dst)
             counts[pos[done], _EXCHANGED] = exchanged.reshape(
                 done.size, nb).sum(axis=1)
         if done.size == pos.size:
@@ -496,10 +524,13 @@ def _solve_gram(
             VsT[item, tgt[pair]] = _apply_wt(W[lo:hi],
                                              VsT[item, cols[pair]])
 
+    if sanitizer is not None:
+        _begin_scope(sanitizer, _write_keys(sub, cols, n), nm * nb)
     _dispatch(executor, chunked, len(W), gram_apply)
     if sanitizer is not None:
+        keys = _write_keys(sub, tgt, n)
         for lo, hi in _phase_bounds(executor, len(W), chunked):
-            sanitizer.record_touch(lo, hi, tgt[lo:hi])
+            sanitizer.record_touch(lo, hi, keys[lo:hi])
     return broken
 
 

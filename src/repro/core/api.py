@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..blockjacobi.driver import (BlockJacobiOptions, block_jacobi_svd,
-                                  block_jacobi_svd_batch)
+from ..blockjacobi.driver import BlockJacobiOptions, block_jacobi_svd_batch
 from ..blockjacobi.kernel import BLOCK_KERNELS
 from ..machine.costmodel import CostModel
 from ..orderings.base import Ordering
@@ -157,6 +156,31 @@ def _block_options(
     return base
 
 
+def _block_svds(
+    stack: np.ndarray,
+    ordering: "str | Ordering",
+    options: BlockJacobiOptions,
+    ordering_kwargs: Mapping[str, object],
+) -> list[SVDResult]:
+    """Block mode over a ``(B, m, n)`` stack: scale each item into range,
+    zero-pad to the admissible width, run the batch driver once, strip
+    the padding and unscale — the one block path of :func:`svd` (a
+    batch of one) and :func:`svd_batch`."""
+    nitems, m, n = stack.shape
+    stack, shifts = range_scale(stack)
+    width = next_admissible_width(n, _needs_power_of_two(ordering),
+                                  options.block_size)
+    if width != n:
+        padded = np.zeros((nitems, m, width))
+        padded[:, :, :n] = stack
+        stack = padded
+    results = block_jacobi_svd_batch(stack, ordering=ordering,
+                                     options=options, **ordering_kwargs)
+    if width != n:
+        results = [strip_padding(r, n) for r in results]
+    return [range_unscale(r, int(k)) for r, k in zip(results, shifts)]
+
+
 def svd(
     a: np.ndarray,
     ordering: "str | Ordering | None" = None,
@@ -186,7 +210,8 @@ def svd(
     runs on ``b``-column blocks and the local subproblems are solved by
     a block kernel (``"gram"``, the BLAS-3 default, or its oracle
     ``"reference"``).  Admissibility and padding are then decided at
-    block granularity.
+    block granularity.  Block mode runs the path of :func:`svd_batch`
+    on a batch of one matrix, so it gives that batch's bits.
 
     ``executor``/``workers`` pick the step-execution backend of block
     mode (``"serial"`` or ``"threads"``; workers split each step's
@@ -223,29 +248,20 @@ def svd(
             workers=workers, fault_plan=fault_plan, **ordering_kwargs)
         return result
     bopts = _block_options(options, kernel, block_size, executor, workers)
+    if bopts is not None:
+        return _block_svds(a[None], ordering, bopts, ordering_kwargs)[0]
     a, shift = range_scale(a)
     n = a.shape[1]
     pow2 = _needs_power_of_two(ordering)
-    if bopts is not None:
-        b = bopts.block_size
-        if next_admissible_width(n, pow2, b) == n:
-            result = block_jacobi_svd(a, ordering=ordering, options=bopts,
-                                      **ordering_kwargs)
-        else:
-            padded, orig = pad_columns(a, power_of_two=pow2, block_size=b)
-            result = strip_padding(
-                block_jacobi_svd(padded, ordering=ordering, options=bopts,
-                                 **ordering_kwargs), orig)
+    options = _with_kernel(options, kernel)
+    if next_admissible_width(n, pow2) == n:
+        result = jacobi_svd(a, ordering=ordering, options=options,
+                            **ordering_kwargs)
     else:
-        options = _with_kernel(options, kernel)
-        if next_admissible_width(n, pow2) == n:
-            result = jacobi_svd(a, ordering=ordering, options=options,
-                                **ordering_kwargs)
-        else:
-            padded, orig = pad_columns(a, power_of_two=pow2)
-            result = strip_padding(
-                jacobi_svd(padded, ordering=ordering, options=options,
-                           allow_wide=True, **ordering_kwargs), orig)
+        padded, orig = pad_columns(a, power_of_two=pow2)
+        result = strip_padding(
+            jacobi_svd(padded, ordering=ordering, options=options,
+                       allow_wide=True, **ordering_kwargs), orig)
     return range_unscale(result, int(shift))
 
 
@@ -357,7 +373,7 @@ def svd_batch(
     solves fuse the whole batch into stacked GEMMs, with per-item
     convergence masks dropping finished matrices out of later sweeps
     (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
-    Block :func:`svd` runs the same step body as a batch of one.
+    Block :func:`svd` runs this same path on a batch of one.
     ``executor="threads"`` chunks the fused (item, block pair) rows of
     each step's gather/Gram-form and apply/scatter phases across
     workers, while the bits stay those of a serial loop.  Scalar mode
@@ -386,26 +402,10 @@ def svd_batch(
         i = int(np.flatnonzero(~ok)[0])
         require_finite(stack[i], f"matrices[{i}]")
     bopts = _block_options(options, kernel, block_size, executor, workers)
-    pow2 = _needs_power_of_two(ordering)
     before = plan_cache_stats()
     t0 = time.perf_counter()
     if bopts is not None:
-        stack, shifts = range_scale(stack)
-        width = next_admissible_width(n, pow2, bopts.block_size)
-        if width == n:
-            results = block_jacobi_svd_batch(stack, ordering=ordering,
-                                             options=bopts, **ordering_kwargs)
-        else:
-            # pad the whole stack to the width a solo call would use
-            padded = np.zeros((nitems, stack.shape[1], width))
-            padded[:, :, :n] = stack
-            results = [
-                strip_padding(r, n)
-                for r in block_jacobi_svd_batch(padded, ordering=ordering,
-                                                options=bopts,
-                                                **ordering_kwargs)
-            ]
-        results = [range_unscale(r, int(k)) for r, k in zip(results, shifts)]
+        results = _block_svds(stack, ordering, bopts, ordering_kwargs)
     else:
         scalar_opts = _with_kernel(options, kernel)
         results = [

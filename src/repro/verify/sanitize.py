@@ -5,14 +5,24 @@ module verifies them while a run executes, the way TSAN/ASAN shadow a
 compiled binary.  Two families of checks:
 
 write-set records (``SAN001``)
-    :func:`~repro.blockjacobi.kernel.solve_block_step` opens a record
-    per schedule step; solvers report the column sets they actually
-    scatter into (``record_touch``) and executors report the chunk
-    bounds they actually dispatch (``note_dispatch``).  When the step
-    closes, the record must agree with the statically derived per-pair
-    write-sets: every touched column inside its claimed range's sets,
-    disjoint ranges touching disjoint columns, dispatched bounds equal
-    to :meth:`~repro.parallel.executor.StepExecutor.chunk_bounds`.
+    The block step body (shared by
+    :func:`~repro.blockjacobi.kernel.solve_block_step` and
+    :func:`~repro.blockjacobi.kernel.solve_block_step_batch`) opens a
+    record per schedule step whose work items are the step's fused
+    (item, pair) rows; row ``r`` of matrix ``i`` may write the keys
+    ``i * n + c`` of its pair's columns ``c``, so for one matrix a key
+    is the column id.  Solvers report the keys they actually scatter
+    into (``record_touch``) and executors report the chunk bounds they
+    actually dispatch (``note_dispatch``).  A phase that runs only some
+    of the step's matrices (the sort-only moves, the application when
+    other matrices took the sort-only exit or broke down, the per-pair
+    re-solves of broken matrices) opens a scope of its own over its
+    rows (``begin_scope``); phases run one after another, so a race can
+    only happen inside one.  When the step closes, each scope must
+    agree with its statically derived per-row write-sets: every touched
+    key inside its claimed range's sets, disjoint ranges touching
+    disjoint keys, dispatched bounds equal to
+    :meth:`~repro.parallel.executor.StepExecutor.chunk_bounds`.
 
 sweep-boundary numeric canaries (``SAN002``/``SAN003``)
     The same invariant detectors the fault-recovery driver uses
@@ -40,6 +50,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,6 +212,18 @@ def check_numeric_canaries(
     return out
 
 
+class _Scope(NamedTuple):
+    """One scope of a step's write record: the work items its phases
+    run over, their static write-sets, and the dispatches and touches
+    recorded while they ran (the arguments of
+    :func:`check_write_record`)."""
+
+    n_items: int
+    expected: list[frozenset[int]]
+    dispatched: list[tuple[int, tuple[tuple[int, int], ...]]]
+    touched: list[tuple[int, int, tuple[int, ...]]]
+
+
 class RuntimeSanitizer:
     """Run-scoped sanitizer state: one write record per step, numeric
     canaries per sweep.
@@ -226,12 +249,9 @@ class RuntimeSanitizer:
         self.sweeps_checked = 0
         self._lock = threading.Lock()
         self._active = False
-        self._n_items = 0
         self._workers = 1
-        self._expected: list[frozenset[int]] = []
-        self._dispatched: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        self._touched: list[tuple[int, int, tuple[int, ...]]] = []
-        self._ref_norm: float | None = None
+        self._scopes: list[_Scope] = []  # the open record's scopes
+        self._ref_norms: list[float] = []
 
     # -- step write-set protocol ----------------------------------------
 
@@ -241,18 +261,24 @@ class RuntimeSanitizer:
         """Open the write record of one schedule step."""
         with self._lock:
             self._active = True
-            self._n_items = int(n_items)
             self._workers = int(workers)
-            self._expected = list(expected_items)
-            self._dispatched = []
-            self._touched = []
+            self._scopes = [_Scope(int(n_items), list(expected_items), [], [])]
+
+    def begin_scope(self, n_items: int,
+                    expected_items: Sequence[frozenset[int]]) -> None:
+        """Start a new scope of the open record: the next phase runs
+        over other work items (a subset of the step's rows)."""
+        with self._lock:
+            if self._active:
+                self._scopes.append(
+                    _Scope(int(n_items), list(expected_items), [], []))
 
     def note_dispatch(self, n_items: int,
                       bounds: Sequence[tuple[int, int]]) -> None:
         """Record the chunk bounds an executor actually dispatched."""
         with self._lock:
             if self._active:
-                self._dispatched.append(
+                self._scopes[-1].dispatched.append(
                     (int(n_items),
                      tuple((int(lo), int(hi)) for lo, hi in bounds)))
 
@@ -262,7 +288,7 @@ class RuntimeSanitizer:
         flat = tuple(int(c) for c in np.asarray(cols).reshape(-1))
         with self._lock:
             if self._active:
-                self._touched.append((int(lo), int(hi), flat))
+                self._scopes[-1].touched.append((int(lo), int(hi), flat))
 
     def abort_step(self) -> None:
         """Discard the open record (the step raised; nothing to check)."""
@@ -270,28 +296,32 @@ class RuntimeSanitizer:
             self._active = False
 
     def end_step(self, step: int | None = None) -> None:
-        """Close the record and cross-check it against the static sets."""
+        """Close the record and cross-check each of its scopes against
+        the static sets."""
         with self._lock:
             if not self._active:
                 return
             self._active = False
-            diags = check_write_record(
-                self._n_items, self._expected, self._dispatched,
-                self._touched, workers=self._workers, step=step)
+            diags = [d for scope in self._scopes
+                     for d in check_write_record(*scope, workers=self._workers,
+                                                 step=step)]
             self.steps_checked += 1
         self._report(diags)
 
     # -- sweep-boundary canaries ----------------------------------------
 
     def arm_reference(self, X: np.ndarray) -> None:
-        """Capture ``||X||_F`` before the first sweep (SAN003 baseline)."""
-        self._ref_norm = float(np.linalg.norm(X))
+        """Capture ``||X||_F`` before the first sweep (SAN003 baseline);
+        a ``(B, m, n)`` stack gets one reference per item."""
+        self._ref_norms = [float(np.linalg.norm(x))
+                           for x in (X[None] if X.ndim == 2 else X)]
 
     def check_sweep(self, X: np.ndarray, V: np.ndarray | None = None,
-                    sweep: int | None = None) -> None:
-        """Run the numeric canaries at a sweep boundary."""
+                    sweep: int | None = None, item: int = 0) -> None:
+        """Run the numeric canaries at a sweep boundary; ``item`` is
+        ``X``'s index in the stack given to :meth:`arm_reference`."""
         diags = check_numeric_canaries(
-            X, V, self._ref_norm,
+            X, V, self._ref_norms[item] if self._ref_norms else None,
             frobenius_rtol=self.frobenius_rtol,
             orthogonality_tol=self.orthogonality_tol, sweep=sweep)
         self.sweeps_checked += 1

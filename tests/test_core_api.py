@@ -170,6 +170,23 @@ class TestConvergenceSurfacing:
             r = svd(a, options=BlockJacobiOptions(block_size=2, max_sweeps=1))
         assert not r.converged
 
+    def test_block_warning_reads_for_one_matrix(self, rng):
+        # block svd() is a batch of one: it warns once, with the watchdog
+        # diagnosis and without the batch's item count
+        import warnings
+
+        from repro import BlockJacobiOptions, ConvergenceWarning
+
+        a = rng.standard_normal((20, 16))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = svd(a, options=BlockJacobiOptions(block_size=2, max_sweeps=1))
+        msgs = [str(w.message) for w in caught
+                if issubclass(w.category, ConvergenceWarning)]
+        assert len(msgs) == 1
+        assert r.watchdog in msgs[0]
+        assert "item" not in msgs[0] and "of 1" not in msgs[0]
+
     def test_converged_run_is_quiet(self, rng):
         import warnings
 

@@ -10,8 +10,13 @@ a violation aborts the run via SanitizerError.
 import numpy as np
 import pytest
 
-from repro.blockjacobi import BlockJacobiOptions, block_jacobi_svd
+from repro import svd_batch
+from repro.blockjacobi import (BlockJacobiOptions, block_jacobi_svd,
+                               block_jacobi_svd_batch)
 from repro.cli import main
+from repro.orderings import make_ordering
+from repro.orderings.plan import compile_schedule
+from repro.util.errors import ConvergenceWarning
 from repro.verify import (
     RuntimeSanitizer,
     SanitizerError,
@@ -25,6 +30,14 @@ from repro.verify import (
 
 EXPECTED = [frozenset({0, 1}), frozenset({2, 3}),
             frozenset({4, 5}), frozenset({6, 7})]
+
+#: matrix width of the batch-record tests: a batch step's fused (item,
+#: pair) rows key column ``c`` of item ``i`` as ``i * WIDTH + c``
+WIDTH = 8
+
+
+def _keys(item, cols):
+    return tuple(item * WIDTH + c for c in cols)
 
 
 def _rules(diags):
@@ -88,6 +101,30 @@ class TestWriteRecord:
         diags = check_write_record(2, expected, [], touched)
         assert _rules(diags) == {"SAN001"}
         assert "write-write overlap" in diags[0].message
+
+    def test_two_items_writing_the_same_column_id_is_no_overlap(self):
+        # rows (item 0, pair 0) and (item 1, pair 0): one column id, but
+        # two matrices, so two keys and no race
+        expected = [frozenset(_keys(0, (0, 1))), frozenset(_keys(1, (0, 1)))]
+        touched = [(0, 1, _keys(0, (0, 1))), (1, 2, _keys(1, (0, 1)))]
+        assert check_write_record(2, expected, [(2, ((0, 1), (1, 2)))],
+                                  touched, workers=2) == []
+
+    def test_one_items_column_in_two_disjoint_chunks_fires_san001(self):
+        # rows (item 1, pair 0) and (item 1, pair 1): the second chunk
+        # also writes column 0 of item 1, which the first chunk owns
+        expected = [frozenset(_keys(1, (0, 1))), frozenset(_keys(1, (2, 3)))]
+        touched = [(0, 1, _keys(1, (0, 1))), (1, 2, _keys(1, (2, 3, 0)))]
+        diags = check_write_record(2, expected, [], touched)
+        assert _rules(diags) == {"SAN001"}
+        assert any("write-write overlap" in d.message for d in diags)
+
+    def test_row_touching_another_items_key_fires_san001(self):
+        # item 0's row writes column 0 of item 1
+        expected = [frozenset(_keys(0, (0, 1))), frozenset(_keys(1, (0, 1)))]
+        diags = check_write_record(2, expected, [], [(0, 1, _keys(1, (0,)))])
+        assert _rules(diags) == {"SAN001"}
+        assert "outside its static write-set" in diags[0].message
 
 
 class TestNumericCanaries:
@@ -171,6 +208,28 @@ class TestRuntimeSanitizer:
         assert san.clean
         assert san.steps_checked == 0
 
+    def test_scope_is_checked_against_its_own_items(self):
+        # a phase over rows 2 and 3 only: its dispatch and claims are
+        # checked against those rows, not against the step's four
+        san = RuntimeSanitizer()
+        san.begin_step(4, EXPECTED, workers=2)
+        san.note_dispatch(4, [(0, 2), (2, 4)])
+        san.begin_scope(2, EXPECTED[2:])
+        san.note_dispatch(2, [(0, 1), (1, 2)])
+        san.record_touch(0, 1, [4, 5])
+        san.record_touch(1, 2, [6, 7])
+        san.end_step()
+        assert san.clean
+        assert san.steps_checked == 1
+
+    def test_scope_violation_fires_san001(self):
+        san = RuntimeSanitizer(raise_on_violation=False)
+        san.begin_step(4, EXPECTED)
+        san.begin_scope(2, EXPECTED[2:])
+        san.record_touch(0, 1, [0])  # the scope's row 0 owns columns 4, 5
+        san.end_step()
+        assert _rules(san.diagnostics) == {"SAN001"}
+
     def test_touches_outside_a_step_are_ignored(self):
         san = RuntimeSanitizer()
         san.record_touch(0, 1, [0])
@@ -189,6 +248,105 @@ class TestRuntimeSanitizer:
         with pytest.raises(SanitizerError) as exc:
             san.check_sweep(drift_factor(X), np.eye(6), sweep=2)
         assert exc.value.diagnostic.rule == "SAN003"
+
+
+class CountingSanitizer(RuntimeSanitizer):
+    """A sanitizer that counts the phase scopes its run opens."""
+
+    def __init__(self):
+        super().__init__()
+        self.scopes = 0
+
+    def begin_scope(self, n_items, expected_items):
+        self.scopes += 1
+        super().begin_scope(n_items, expected_items)
+
+
+@pytest.fixture
+def sanitizers(monkeypatch):
+    """The sanitizers the block driver builds, one per run."""
+    made = []
+
+    def make(options):
+        made.append(CountingSanitizer())
+        return made[-1]
+
+    monkeypatch.setattr(BlockJacobiOptions, "make_sanitizer", make)
+    return made
+
+
+def _steps_run(ordering, n_blocks, sweeps):
+    """Schedule steps with met pairs in the first ``sweeps`` sweeps: one
+    write-set record each."""
+    ordering = make_ordering(ordering, n_blocks)
+    return sum(1 for s in range(sweeps)
+               for cs in compile_schedule(ordering.sweep(s)).steps
+               if cs.n_pairs)
+
+
+def _assert_lapack_sigma(a, r):
+    np.testing.assert_allclose(r.sigma, np.linalg.svd(a, compute_uv=False),
+                               rtol=1e-10, atol=1e-10)
+
+
+EXECUTORS = [("serial", None), ("threads", 2), ("threads", 4)]
+
+
+class TestSanitizedBatches:
+    """SAN001 on batches: every step of every sweep is one record over
+    the fused (item, pair) rows, with a scope per compacted phase."""
+
+    @pytest.mark.parametrize("executor,workers", EXECUTORS)
+    @pytest.mark.parametrize("kernel", ["gram", "reference"])
+    def test_mixed_batch_is_checked_every_step(self, sanitizers, kernel,
+                                               executor, workers):
+        rng = np.random.default_rng(29)
+        stack = rng.standard_normal((4, 12, 8))
+        # orthogonal columns with ascending norms: the gram kernel's
+        # sort-only exit, which moves columns while the others solve
+        q = np.linalg.qr(rng.standard_normal((12, 8)))[0]
+        stack[2] = q * np.linspace(1.0, 2.0, 8)
+        opts = BlockJacobiOptions(block_size=2, kernel=kernel,
+                                  executor=executor, workers=workers,
+                                  sanitize=True)
+        batch = svd_batch(stack, options=opts)
+        (san,) = sanitizers
+        assert san.clean
+        assert san.steps_checked == _steps_run(
+            "fat_tree", 4, max(r.sweeps for r in batch))
+        assert san.sweeps_checked == sum(r.sweeps for r in batch)
+        # the sort-only item and the solving items run in phases of
+        # their own; the reference kernel runs every row in one phase
+        assert (san.scopes > 0) == (kernel == "gram")
+        for a, r in zip(stack, batch):
+            assert r.converged
+            _assert_lapack_sigma(a, r)
+
+    # worker threads do not inherit the caller's np.errstate
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("executor,workers", EXECUTORS)
+    def test_breakdown_rows_are_checked(self, sanitizers, executor, workers):
+        # item 1's Gram overflows, so its pairs are re-solved one by one
+        # while items 0 and 2 take the stacked application; straight to
+        # the driver, because the API's range scaling would avoid the
+        # overflow
+        stack = np.random.default_rng(31).standard_normal((3, 20, 16))
+        stack[1, :, 5] *= 1e200
+        opts = BlockJacobiOptions(block_size=2, executor=executor,
+                                  workers=workers, sanitize=True)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(ConvergenceWarning, match="not finite"):
+            results = block_jacobi_svd_batch(stack, options=opts)
+        (san,) = sanitizers
+        assert san.clean
+        assert san.steps_checked == _steps_run(
+            "ring_new", 8, max(r.sweeps for r in results))
+        assert san.scopes > 0
+        for i in (0, 2):
+            _assert_lapack_sigma(stack[i], results[i])
+        # the driver has no entry scaling: the 1e200 column's norm
+        # overflows, and the result says so
+        assert not results[1].converged
 
 
 class TestSanitizedRuns:
@@ -225,6 +383,11 @@ class TestSanitizedRuns:
         assert main(["svd", "--m", "20", "--n", "16", "--block-size", "2",
                      "--sanitize", "--serial"]) == 0
         assert "converged" in capsys.readouterr().out
+
+    def test_cli_sanitize_batch(self, capsys):
+        assert main(["svd", "--m", "20", "--n", "16", "--batch", "4",
+                     "--block-size", "2", "--sanitize"]) == 0
+        assert "batch of 4" in capsys.readouterr().out
 
     def test_cli_sanitize_requires_block_mode(self, capsys):
         assert main(["svd", "--m", "12", "--n", "8", "--sanitize"]) == 2
