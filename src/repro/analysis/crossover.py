@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..machine.costmodel import CostModel
-from ..machine.simulator import TreeMachine
+from ..machine.simulator import sweep_ledger
 from ..machine.topology import SkinnyFatTree
+from ..orderings.plan import compile_schedule
 from ..orderings.registry import make_ordering
 from ..util.bits import ilog2
 from ..util.formatting import render_table
@@ -39,12 +38,14 @@ def crossover_table(
     n: int = 64,
     m: int = 96,
     cost_model: CostModel | None = None,
-    seed: int = 0,
 ) -> list[CrossoverRow]:
-    """TAB-CROSS: comm time of fat-tree vs hybrid as capacity grows."""
+    """TAB-CROSS: comm time of fat-tree vs hybrid as capacity grows.
+
+    Each sweep is the plan's cost ledger
+    (:func:`~repro.machine.simulator.sweep_ledger`), messages carrying
+    one ``m``-word column.
+    """
     cm = cost_model or CostModel()
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
     n_leaves = n // 2
     levels = ilog2(n_leaves)
     rows: list[CrossoverRow] = []
@@ -55,9 +56,8 @@ def crossover_table(
         fat_cont = 0.0
         for name in ("fat_tree", "hybrid"):
             kw = {"n_groups": hybrid_groups} if name == "hybrid" else {}
-            machine = TreeMachine(topo, cm)
-            machine.load(a, compute_v=False)
-            stats, _, _ = machine.run_sweep(make_ordering(name, n, **kw).sweep(0))
+            plan = compile_schedule(make_ordering(name, n, **kw).sweep(0))
+            stats = sweep_ledger(plan, topo, cm, m, m)
             times[name] = stats.comm_time
             if name == "fat_tree":
                 fat_cont = stats.max_contention

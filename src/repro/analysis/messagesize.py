@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..machine.costmodel import CostModel
-from ..machine.simulator import TreeMachine
+from ..machine.simulator import sweep_ledger
 from ..machine.topology import make_topology
+from ..orderings.plan import compile_schedule
 from ..orderings.registry import make_ordering
 from ..util.formatting import render_table
 
@@ -42,22 +41,22 @@ def message_size_table(
     sizes: list[int] | None = None,
     topology: str = "cm5",
     cost_model: CostModel | None = None,
-    seed: int = 0,
 ) -> list[MessageSizeRow]:
-    """TAB-MSG: communication time vs message (column) size."""
+    """TAB-MSG: communication time vs message (column) size.
+
+    Each sweep is the plan's cost ledger
+    (:func:`~repro.machine.simulator.sweep_ledger`), messages carrying
+    one ``m``-word column.
+    """
     sizes = sizes or [8, 32, 128, 512]
     cm = cost_model or CostModel()
-    rng = np.random.default_rng(seed)
     topo = make_topology(topology, n // 2)
     rows: list[MessageSizeRow] = []
     for m in sizes:
-        a = rng.standard_normal((m, n))
         times: dict[str, float] = {}
         for name in ("round_robin", "fat_tree", "ring_new"):
-            machine = TreeMachine(topo, cm)
-            machine.load(a, compute_v=False)
-            stats, _, _ = machine.run_sweep(make_ordering(name, n).sweep(0))
-            times[name] = stats.comm_time
+            plan = compile_schedule(make_ordering(name, n).sweep(0))
+            times[name] = sweep_ledger(plan, topo, cm, m, m).comm_time
         rows.append(
             MessageSizeRow(
                 m=m,

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..machine.costmodel import CostModel
-from ..machine.simulator import TreeMachine
+from ..machine.simulator import sweep_ledger
 from ..machine.topology import make_topology
+from ..orderings.plan import compile_schedule
 from ..orderings.registry import make_ordering
 from ..util.formatting import render_table
 
@@ -43,30 +42,29 @@ def scaling_table(
     topology: str = "cm5",
     names: list[str] | None = None,
     cost_model: CostModel | None = None,
-    seed: int = 0,
     **kwargs_by_name: dict,
 ) -> list[ScalingRow]:
     """TAB-SCALE: one-sweep simulated time as the machine grows.
 
     Each size ``n`` uses ``n/2`` leaves (weak scaling in the column
-    dimension at fixed row count ``m``).
+    dimension at fixed row count ``m``).  A sweep's cost does not depend
+    on the data, so each row is the plan's cost ledger
+    (:func:`~repro.machine.simulator.sweep_ledger`), with messages
+    carrying a column and its row of ``V`` (``m + n`` words).
     """
     sizes = sizes or [16, 32, 64, 128]
     names = names or ["round_robin", "ring_new", "fat_tree", "hybrid"]
     cm = cost_model or CostModel()
-    rng = np.random.default_rng(seed)
     rows: list[ScalingRow] = []
     for n in sizes:
-        a = rng.standard_normal((m, n))
         topo = make_topology(topology, n // 2)
         for name in names:
             kw = dict(kwargs_by_name.get(name, {}))
             if name == "hybrid" and "n_groups" not in kw:
                 kw["n_groups"] = max(2, n // 8)  # blocks of <= 4 columns
             ordering = make_ordering(name, n, **kw)
-            machine = TreeMachine(topo, cm)
-            machine.load(a)
-            stats, _, _ = machine.run_sweep(ordering.sweep(0))
+            stats = sweep_ledger(compile_schedule(ordering.sweep(0)), topo,
+                                 cm, m, m + n)
             total = stats.total_time
             rows.append(
                 ScalingRow(

@@ -11,10 +11,11 @@ protected:
                      :func:`~repro.blockjacobi.block_jacobi_svd` run
                      with a chosen block-pair kernel and block size —
                      the gram-vs-reference pair is the BLAS-3 headline;
-``parallel-sweeps``  sweep throughput of the simulated tree machine
-                     (:class:`~repro.parallel.ParallelJacobiSVD`),
-                     i.e. real wall time of the simulator, not modelled
-                     machine time (scalar and block granularity);
+``parallel-sweeps``  one healthy simulated run
+                     (:class:`~repro.parallel.ParallelJacobiSVD`: the
+                     serial driver plus the plans' cost ledger), i.e.
+                     real wall time, not modelled machine time (scalar
+                     and block granularity);
 ``svd-parallel-exec`` one block Jacobi run under a chosen step-execution
                      backend (:mod:`repro.parallel.executor`) — the
                      threads-vs-serial pair is the multicore headline
@@ -49,12 +50,6 @@ protected:
                      corruption, checkpoint/rollback/remap recovery)
                      against its fault-free twin — the simulator-side
                      price of the fault-tolerance machinery;
-``fastpath``         one fault-free gram-kernel sweep on the tree
-                     machine, vectorised fast path vs its event-driven
-                     twin (``force_event``) on the same prebuilt
-                     schedule — the large-n simulator headline (the
-                     event side is timed inside the scenario and the
-                     speedup lands in meta);
 ``tune``             latency of one quick single-round
                      :func:`repro.tune.tune` search — the cost CI pays
                      for the autotuner smoke gate.
@@ -187,13 +182,11 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     sanitizer-overhead pairs (off vs on, serial and threads), the
     batch-throughput pairs (svd_batch vs the looped-svd baseline at
     batch sizes 10^2-10^4), the routing pair (vectorised vs per-message
-    router over one n=256 compiled sweep), the simulator fast-path pair
-    (vectorised vs event-driven n=512 gram sweep, speedup in meta), the
-    autotuner smoke search, the parallel simulator at scalar and block
-    granularity, the fault-recovery overhead run, and the lint and
-    analyze gates (30 scenarios).  ``quick`` mode shrinks every size
-    for CI smoke runs (20 scenarios) while keeping the same name
-    structure.
+    router over one n=256 compiled sweep), the autotuner smoke search,
+    the parallel simulator at scalar and block granularity, the
+    fault-recovery overhead run, and the lint and analyze gates (29
+    scenarios).  ``quick`` mode shrinks every size for CI smoke runs
+    (19 scenarios) while keeping the same name structure.
     """
     sizes = (16,) if quick else (32, 64)
     out = []
@@ -206,22 +199,6 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     bn, bb = (32, 4) if quick else (128, 8)
     for kernel in ("reference", "gram"):
         out.append(_block_scenario(kernel, "ring_new", bn, bb))
-    # the simulator fast path against its event-driven twin: one
-    # fault-free gram sweep at the largest size the suite runs (the
-    # tentpole's speedup claim is recorded here, in meta).  Runs before
-    # the allocation-heavy batch/executor scenarios: the event path's
-    # per-event object churn is measurably cheaper in a process whose
-    # allocator arenas they have already warmed, which deflates the
-    # recorded ratio by ~20% if this pair runs after them.
-    sn = 64 if quick else 512
-    out.append(
-        Scenario(
-            name=f"sim/fastpath-vs-event/n{sn}",
-            kind="fastpath",
-            params={"n": sn, "m": sn + 16, "block_size": 1,
-                    "kernel": "gram", "ordering": "ring_new"},
-        )
-    )
     # the executor pair: the same gram-kernel block run under the
     # serial and threaded step backends (results are bit-identical; only
     # the wall time may differ, by however many cores the host offers —
@@ -470,40 +447,6 @@ def run_scenario(
                                 if rep0.total_time else 1.0),
             )
 
-    elif scenario.kind == "fastpath":
-        from ..machine.simulator import TreeMachine
-        from ..machine.topology import PerfectFatTree
-        from ..orderings import make_ordering
-
-        b = p["block_size"]
-        n_slots = p["n"] // b
-        rng = np.random.default_rng(_SEED)
-        a = rng.standard_normal((p["m"], p["n"]))
-        # schedule construction is outside the timed region on both
-        # sides: the pair measures sweep execution, not ordering setup
-        sched = make_ordering(p["ordering"], n_slots).sweep(0)
-
-        def run(force_event: bool) -> None:
-            machine = TreeMachine(PerfectFatTree(n_slots // 2))
-            machine.load(a, kernel=p["kernel"], block_size=b)
-            machine.force_event = force_event
-            machine.run_sweep(sched, sweep_index=0)
-            expected = "event" if force_event else "fast"
-            require(machine.last_sweep_path == expected,
-                    f"expected {expected} path, got "
-                    f"{machine.last_sweep_path!r}")
-
-        # the event twin is priced here at a bounded repeat count (it is
-        # the slow side by design); the headline wall_time_s below is
-        # the fast path, and the speedup ratio is attached post-timing
-        event = time_callable(lambda: run(True),
-                              repeats=min(repeats, 3), warmup=min(warmup, 1))
-        meta.update(event_median_s=event.median_s,
-                    event_repeats=min(repeats, 3))
-
-        def work() -> None:
-            run(False)
-
     elif scenario.kind == "tune":
         from ..tune import tune
 
@@ -539,8 +482,6 @@ def run_scenario(
         require(False, f"unknown scenario kind {scenario.kind!r}")
 
     timing = time_callable(work, repeats=repeats, warmup=warmup)
-    if scenario.kind == "fastpath":
-        meta["speedup"] = meta["event_median_s"] / timing.median_s
     return {
         "name": scenario.name,
         "kind": scenario.kind,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.result import SVDResult, SweepRecord, sigma_converged
+from ..core.result import SVDResult, SweepRecord, assemble_result
 from ..orderings.base import Ordering
 from ..orderings.plan import compile_schedule
 from ..orderings.registry import make_ordering
@@ -152,58 +152,6 @@ def block_jacobi_svd(
                                   **ordering_kwargs)[0]
 
 
-def _watchdog_message(history: list[SweepRecord], max_sweeps: int) -> str:
-    """Diagnose a non-converged run's off-norm series (see repro.faults)."""
-    from ..faults.watchdog import ConvergenceWatchdog
-
-    dog = ConvergenceWatchdog()
-    for h in history:
-        dog.observe(h.sweep, h.off_norm)
-    return dog.escalate(max_sweeps)
-
-
-def _finalize_block_result(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    m: int,
-    n: int,
-    compute_uv: bool,
-    history: list[SweepRecord],
-    converged: bool,
-    watchdog_msg: str | None,
-) -> SVDResult:
-    """Extract the decomposition from one item's finished column buffer."""
-    norms = np.linalg.norm(X, axis=0)
-    sigma_by_slot = norms.copy()
-    scale = max(1.0, float(norms.max(initial=0.0)))
-    diffs = np.diff(norms)
-    if np.all(diffs <= 1e-9 * scale):
-        emerged = "desc"
-    elif np.all(diffs >= -1e-9 * scale):
-        emerged = "asc"
-    else:
-        emerged = None
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    rank = int(np.count_nonzero(sigma > 1e-12 * max(scale, 1e-300)))
-    if compute_uv:
-        u = np.zeros((m, n))
-        nz = sigma > 0
-        cols = X[:, order]
-        u[:, nz] = cols[:, nz] / sigma[nz]
-        v = V[:, order]
-    else:
-        u = np.zeros((m, 0))
-        v = np.zeros((n, 0))
-    return SVDResult(
-        u=u, sigma=sigma, v=v, rank=rank,
-        converged=sigma_converged(sigma, converged),
-        sweeps=len(history), rotations=sum(h.rotations for h in history),
-        sigma_by_slot=sigma_by_slot, emerged_sorted=emerged, history=history,
-        watchdog=watchdog_msg,
-    )
-
-
 def block_jacobi_svd_batch(
     stack: np.ndarray,
     ordering: str | Ordering = "ring_new",
@@ -244,8 +192,12 @@ def block_jacobi_svd_batch(
         ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
 
     executor = opts.make_executor()
-    Xs = stack.copy()
-    Vs = np.eye(n)[None].repeat(nitems, axis=0) if compute_uv else None
+    # each item's columns are contiguous rows of (B, n, m) storage, so
+    # the step body gathers and scatters whole rows; the solvers see the
+    # (B, m, n) views
+    Xs = stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    Vs = (np.eye(n)[None].repeat(nitems, axis=0).transpose(0, 2, 1)
+          if compute_uv else None)
     # the block trajectory is data-independent, hence shared by all items;
     # block_cols[s] = the matrix columns currently stored in block slot s
     block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
@@ -303,8 +255,10 @@ def block_jacobi_svd_batch(
     if stuck.size:
         # same refusal-to-be-silent contract as the scalar driver: diagnose
         # the off-norm series and warn once (see repro.svd.hestenes)
+        from ..faults.watchdog import diagnose_history
+
         for i in stuck:
-            watchdogs[i] = _watchdog_message(histories[i], opts.max_sweeps)
+            watchdogs[i] = diagnose_history(histories[i], opts.max_sweeps)
         which = ("" if nitems == 1 else
                  f" on {stuck.size} of {nitems} matrices (first: item "
                  f"{int(stuck[0])})")
@@ -315,8 +269,8 @@ def block_jacobi_svd_batch(
             ConvergenceWarning, stacklevel=2)
 
     return [
-        _finalize_block_result(
-            Xs[i], None if Vs is None else Vs[i], m, n, compute_uv,
-            histories[i], bool(converged[i]), watchdogs[i])
+        assemble_result(Xs[i], None if Vs is None else Vs[i], histories[i],
+                        bool(converged[i]), len(histories[i]),
+                        watchdog=watchdogs[i])
         for i in range(nitems)
     ]

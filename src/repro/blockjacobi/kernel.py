@@ -31,9 +31,9 @@ simulated machine this is exactly the work the leaves do concurrently.
 :func:`solve_block_step` runs the body as a batch of one matrix and
 :func:`solve_block_step_batch` as it is, so both give the same bits
 for the same matrix; the body also holds the runtime sanitizer's step
-records.  The simulator fast path
-(:func:`fastpath_gram_step`) keeps its own transposed row storage but
-shares the body's measure, factor and sort-exchange helpers.
+records.  The block driver stores each matrix's columns as contiguous
+rows of a ``(B, n, m)`` array and hands the body its ``(B, m, n)``
+view, so the body's gathers and scatters move whole rows.
 
 Accuracy note for ``gram``: forming and applying in Gram space is
 norm-wise backward stable, but the BLAS-3 application mixes all ``2b``
@@ -62,8 +62,7 @@ from ..svd.rotations import RotationStats, apply_step_rotations
 from ..util.errors import NumericalBreakdown
 from ..util.validation import require
 
-__all__ = ["BLOCK_KERNELS", "GRAM_NOISE", "KERNEL_STAGES",
-           "fastpath_gram_flush", "fastpath_gram_step", "solve_block_step",
+__all__ = ["BLOCK_KERNELS", "GRAM_NOISE", "KERNEL_STAGES", "solve_block_step",
            "solve_block_step_batch"]
 
 #: registered block-pair kernels; ``gram`` is the BLAS-3 fast path and
@@ -629,9 +628,7 @@ def _sort_exchanges(
     Returns ``(row, src, tgt, exchanged)`` — per moved column its row,
     source and target id (columns already in place are left out), and
     per row the exchanges it counts — or ``None`` when nothing moves
-    (always for ``sort=None``).  Shared by the step body, which moves
-    the data, and the simulator fast path, which applies the same moves
-    as a pure row relabelling."""
+    (always for ``sort=None``)."""
     perm = _sort_perm(d, sort)
     if perm is None:
         return None
@@ -649,11 +646,9 @@ def _gram(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(y, y.transpose(0, 2, 1), out=out)
 
 
-def _apply_wt(w: np.ndarray, y: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """``(B, k, k), (B, k, m) -> (B, k, m)``: ``w^T @ y`` per stack entry
-    (the ``out`` form copies the same bits as the allocating form)."""
-    return np.matmul(w.transpose(0, 2, 1), y, out=out)
+def _apply_wt(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(B, k, k), (B, k, m) -> (B, k, m)``: ``w^T @ y`` per stack entry."""
+    return np.matmul(w.transpose(0, 2, 1), y)
 
 
 def _gram_measure(
@@ -663,9 +658,7 @@ def _gram_measure(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Finite check, symmetrisation and convergence measurement of the
     Gram stack of ``nm`` matrices (``len(G) / nm`` consecutive pair rows
-    each) — the decision half of the gram kernel, shared by the step
-    body and the simulator fast path (:func:`fastpath_gram_step`) so
-    their bit-identity holds by construction.  Returns
+    each) — the decision half of the gram kernel.  Returns
     ``(broken, G, d, floor, worst)``: the positions of the matrices with
     a non-finite Gram block, then for the rows of the other matrices
     only the symmetrised Grams, their squared column norms and noise
@@ -702,7 +695,7 @@ def _gram_factors(
     inner_sweeps: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Inner Gram solve plus the sort convention — the factor half of
-    the gram kernel, shared by the step body and the fast path.  ``G``
+    the gram kernel.  ``G``
     holds one Gram per met pair ``cols`` (``(nb, 2b)``) for each matrix,
     and each matrix is one convergence group.  Returns
     ``(W, rotations, ok, tgt)``: ``W`` with its columns permuted to land
@@ -718,162 +711,3 @@ def _gram_factors(
         return W, rotations, ok, cols
     return (np.take_along_axis(W, perm[:, None, :], axis=2), rotations, ok,
             np.sort(cols, axis=1))
-
-
-def _fp_buffer(scratch: "dict | None", key: str, rows: int,
-               tail: tuple[int, ...]) -> np.ndarray:
-    """Sweep-persistent step buffer for the fast path.
-
-    Large per-step temporaries (the gathered ``(nb*2b, m)`` stacks and
-    their rotated outputs) dominate the fast path's non-GEMM cost when
-    freshly allocated each step: at n = 512 the malloc/page-fault churn
-    of four ~2 MB arrays per step costs more than the gathers
-    themselves.  Buffers live in ``scratch`` keyed by name, are grown
-    monotonically, and are handed out as leading-axis views, so a whole
-    sweep allocates each stack once.
-    """
-    if scratch is None:
-        return np.empty((rows, *tail))
-    buf = scratch.get(key)
-    if buf is None or buf.shape[0] < rows or buf.shape[1:] != tail:
-        buf = np.empty((max(rows, buf.shape[0] if buf is not None else 0),
-                        *tail))
-        scratch[key] = buf
-    return buf[:rows]
-
-
-def fastpath_gram_flush(
-    XT: np.ndarray,
-    VT: np.ndarray | None,
-    scratch: "dict | None",
-) -> None:
-    """Write a carried rotation stack back into canonical storage.
-
-    Full-coverage steps leave their rotated stacks in ``scratch`` (see
-    :func:`fastpath_gram_step`) instead of scattering into ``XT``/``VT``;
-    until the next flush the canonical buffers are stale for the stacked
-    rows.  Callers must flush before reading ``XT``/``VT`` directly —
-    the simulator does so at sweep end and before delegating a
-    broken-down step to the event solver.  A no-op when nothing is
-    carried."""
-    if not scratch:
-        return
-    rows = scratch.pop("stack_rows", None)
-    if rows is None:
-        return
-    XT[rows] = scratch["xstk"][:len(rows)]
-    if VT is not None:
-        VT[rows] = scratch["vstk"][:len(rows)]
-
-
-def fastpath_gram_step(
-    XT: np.ndarray,
-    VT: np.ndarray | None,
-    row_of_col: np.ndarray,
-    cols_arr: np.ndarray,
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-    scratch: "dict | None" = None,
-) -> tuple[RotationStats, float]:
-    """One schedule step of the gram kernel on transposed storage — the
-    simulator fast path's solver.
-
-    ``XT`` (``(n, m)``) and ``VT`` (``(n, n)``) hold the matrix columns
-    as contiguous *rows*; ``row_of_col`` maps column id -> physical row
-    (updated in place).  The step gathers its rows into the same
-    C-contiguous ``(nb, 2b, m)`` stacks as the step body's Gram-form
-    phase, runs the shared measure, factor and sort-exchange helpers,
-    and scatters results back into the gathered rows — so every GEMM
-    sees bit-identical operands in bit-identical layouts, and row-major
-    fancy gathers replace the step body's strided column gathers (the
-    fast path's actual win, and why it keeps its own storage instead of
-    calling the body).  Norm-ordering exchanges of
-    already-orthogonal blocks become pure ``row_of_col`` relabelings:
-    zero data movement, same ``stats.exchanged`` count.  ``scratch``
-    (see :func:`_fp_buffer`) carries the step stacks across a sweep so
-    steady-state steps are allocation-free; ``np.take(..., mode="clip")``
-    and the ``out=`` GEMM forms copy the same bits as the allocating
-    forms.
-
-    Raises :class:`~repro.util.errors.NumericalBreakdown` before
-    touching any row; the caller materialises ``X``/``V`` and delegates
-    the step to :func:`solve_block_step` (same per-pair fallback).
-    """
-    stats = RotationStats()
-    cols_arr = np.asarray(cols_arr, dtype=np.intp)
-    nb, k = cols_arr.shape
-    m = XT.shape[1]
-    n_rows = XT.shape[0]
-    rows = row_of_col[cols_arr.reshape(-1)]
-    # stack carry: a step that rotates every column leaves its output in
-    # the scratch stack; the next full-coverage step gathers straight
-    # from it (one warm permuted copy instead of a scatter + re-gather
-    # through XT/VT).  Anything else flushes first, so the canonical
-    # buffers are current whenever they are actually read.
-    full = scratch is not None and len(rows) == n_rows
-    stack_rows = scratch.get("stack_rows") if scratch is not None else None
-    if stack_rows is not None and not full:
-        fastpath_gram_flush(XT, VT, scratch)
-        stack_rows = None
-    Ys2d = _fp_buffer(scratch, "Ys", nb * k, (m,))
-    if stack_rows is not None:
-        idx = scratch["pos"][rows]
-        np.take(scratch["xstk"], idx, axis=0, out=Ys2d, mode="clip")
-    else:
-        idx = None
-        np.take(XT, rows, axis=0, out=Ys2d, mode="clip")
-    Ys = Ys2d.reshape(nb, k, m)
-    G = _gram(Ys, out=_fp_buffer(scratch, "G", nb, (k, k)))
-    broken, G, d, floor, worst = _gram_measure(G, 1, tol)
-    if broken.size:
-        raise NumericalBreakdown("non-finite Gram block in a fast-path step")
-    worst = float(worst[0])
-    if worst <= tol:
-        # already orthogonal: only the norm-ordering convention may act,
-        # and it moves no data — any carried stack stays valid
-        moves = _sort_exchanges(cols_arr, d, sort)
-        if moves is not None:
-            _, src, tgt, exchanged = moves
-            row_of_col[tgt] = row_of_col[src]
-            stats.exchanged = int(exchanged.sum())
-        return stats, worst
-    W, rotations, ok, tgt_arr = _gram_factors(G, floor, cols_arr, tol, sort,
-                                              inner_sweeps)
-    if not ok[0]:
-        raise NumericalBreakdown(
-            "non-finite rotation factor from the inner Gram solve")
-    stats.applied = int(rotations[0])
-    if VT is not None:
-        nv = VT.shape[1]
-        Vs2d = _fp_buffer(scratch, "Vs", nb * k, (nv,))
-        if idx is not None:
-            np.take(scratch["vstk"], idx, axis=0, out=Vs2d, mode="clip")
-        else:
-            np.take(VT, rows, axis=0, out=Vs2d, mode="clip")
-        Vs = Vs2d.reshape(nb, k, nv)
-    if full:
-        # rotate into the stack: the gathers above copied this step's
-        # operands out, so the stack buffers are free to take the
-        # (Y_i W_i)^T outputs; XT/VT go stale until the next flush
-        xstk = _fp_buffer(scratch, "xstk", n_rows, (m,))
-        _apply_wt(W, Ys, out=xstk.reshape(nb, k, m))
-        if VT is not None:
-            vstk = _fp_buffer(scratch, "vstk", n_rows, (nv,))
-            _apply_wt(W, Vs, out=vstk.reshape(nb, k, nv))
-        scratch["stack_rows"] = rows
-        pos = scratch.get("pos")
-        if pos is None or len(pos) != n_rows:
-            pos = np.empty(n_rows, dtype=np.intp)
-            scratch["pos"] = pos
-        pos[rows] = np.arange(n_rows, dtype=np.intp)
-    else:
-        out2d = _fp_buffer(scratch, "out", nb * k, (m,))
-        _apply_wt(W, Ys, out=out2d.reshape(nb, k, m))  # (Y_i W_i)^T
-        XT[rows] = out2d
-        if VT is not None:
-            vout2d = _fp_buffer(scratch, "vout", nb * k, (nv,))
-            _apply_wt(W, Vs, out=vout2d.reshape(nb, k, nv))
-            VT[rows] = vout2d
-    row_of_col[tgt_arr.reshape(-1)] = rows
-    return stats, worst

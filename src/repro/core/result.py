@@ -15,7 +15,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.events import FaultEvent
     from ..orderings.plan import PlanCacheStats
 
-__all__ = ["BatchResult", "SVDResult", "SweepRecord", "sigma_converged"]
+__all__ = ["BatchResult", "SVDResult", "SweepRecord", "assemble_result",
+           "sigma_converged"]
 
 
 def sigma_converged(sigma: np.ndarray, converged: bool) -> bool:
@@ -33,6 +34,64 @@ def sigma_converged(sigma: np.ndarray, converged: bool) -> bool:
             ConvergenceWarning, stacklevel=3)
         return False
     return converged
+
+
+def assemble_result(
+    X: np.ndarray,
+    V: np.ndarray | None,
+    history: list["SweepRecord"],
+    converged: bool,
+    sweeps: int,
+    *,
+    rank_tol: float = 1e-12,
+    prescale: float = 1.0,
+    watchdog: str | None = None,
+    fault_events: list["FaultEvent"] | None = None,
+) -> "SVDResult":
+    """The decomposition held by a finished sweep loop: the one result
+    builder of the scalar, block and simulated drivers.
+
+    ``X`` holds ``H = A V / prescale`` in slot order and ``V`` the
+    accumulated rotations (``None`` without vectors).  ``sigma`` is the
+    column norms times ``prescale``, sorted nonincreasing; ``rank``
+    counts the values above ``rank_tol * sigma_max``, so it does not
+    change when the input is scaled.
+    """
+    # norms along a strided axis sum in a fixed order: a C-order copy
+    # gives every caller's storage the same bits
+    X = np.ascontiguousarray(X)
+    m, n = X.shape
+    norms = np.linalg.norm(X, axis=0) * prescale
+    sigma_by_slot = norms.copy()
+    scale = max(1.0, float(norms.max(initial=0.0)))
+    diffs = np.diff(norms)
+    if np.all(diffs <= 1e-9 * scale):
+        emerged = "desc"
+    elif np.all(diffs >= -1e-9 * scale):
+        emerged = "asc"
+    else:
+        emerged = None
+    order = np.argsort(-norms, kind="stable")
+    sigma = norms[order]
+    sigma_max = sigma[0] if n else 0.0
+    rank = int(np.count_nonzero(sigma > rank_tol * max(sigma_max, 1e-300)))
+    if V is not None:
+        u = np.zeros((m, n))
+        nz = sigma > 0
+        # X is still in the prescaled frame: normalise by the scaled norms
+        u[:, nz] = X[:, order[nz]] / (sigma[nz] / prescale)
+        v = np.ascontiguousarray(V)[:, order]
+    else:
+        u = np.zeros((m, 0))
+        v = np.zeros((n, 0))
+    return SVDResult(
+        u=u, sigma=sigma, v=v, rank=rank,
+        converged=sigma_converged(sigma, converged),
+        sweeps=sweeps, rotations=sum(h.rotations for h in history),
+        sigma_by_slot=sigma_by_slot, emerged_sorted=emerged,
+        history=history, fault_events=list(fault_events or ()),
+        watchdog=watchdog,
+    )
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..util.validation import require
 
-__all__ = ["ConvergenceWatchdog"]
+__all__ = ["ConvergenceWatchdog", "diagnose_history"]
 
 
 class ConvergenceWatchdog:
@@ -59,3 +59,12 @@ class ConvergenceWatchdog:
             base += f"; {self.message}"
         self.message = base
         return base
+
+
+def diagnose_history(history, max_sweeps: int) -> str:
+    """Final diagnosis of a run that exhausted its sweep budget, from
+    its recorded :class:`~repro.core.result.SweepRecord` series."""
+    dog = ConvergenceWatchdog()
+    for h in history:
+        dog.observe(h.sweep, h.off_norm)
+    return dog.escalate(max_sweeps)

@@ -9,7 +9,10 @@ The numerics are identical to the serial driver — same kernels, same
 label-oriented sorting — so the parallel path is bit-compatible with
 :func:`repro.svd.jacobi_svd` (asserted in the integration tests); what
 the machine adds is the *timeline*: per-step compute/communication
-times, message counts and contention factors.
+times, message counts and contention factors.  On a healthy machine
+that timeline depends only on the plan and the topology, so
+:func:`sweep_ledger` computes it without running a sweep, and
+:func:`charge_step` is the one charging rule both use.
 
 With ``block_size=b`` the machine runs at *block* granularity instead:
 each slot holds a ``b``-column block, a met pair solves a local
@@ -29,9 +32,11 @@ fault-free machine — bit-for-bit and charge-for-charge.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from ..orderings.plan import CompiledStep, compile_schedule
+from ..orderings.plan import CompiledSchedule, CompiledStep, compile_schedule
 from ..orderings.schedule import Schedule
 from ..svd.rotations import (
     RotationStats,
@@ -42,11 +47,77 @@ from ..svd.rotations import (
 from ..util.bits import leaf_of_slot
 from ..util.validation import require
 from .costmodel import CostModel
-from .routing import route_moves
+from .routing import MessagePhase, route_moves
 from .stats import StepRecord, SweepStats
 from .topology import TreeTopology
 
-__all__ = ["TreeMachine"]
+__all__ = ["TreeMachine", "charge_step", "sweep_ledger"]
+
+
+def charge_step(
+    cost: CostModel,
+    k: int,
+    cs: CompiledStep,
+    phase: MessagePhase | None,
+    m: int,
+    words: int,
+    block_size: int | None = None,
+    inner_sweeps: int = 2,
+    busiest: int | None = None,
+) -> StepRecord:
+    """The cost record of step ``k`` (1-based) of a sweep.
+
+    Compute: the busiest leaf's ``busiest`` met pairs (the plan's count
+    under the identity host map by default), each one rotation of
+    length-``m`` columns, or in block mode one ``2b``-column local solve
+    of ``inner_sweeps`` sweeps.  Communication: the move ``phase``
+    (``None`` for a step without moves), each message ``words`` long.
+    Fault fields stay zero; the event path adds them.
+    """
+    compute_t = 0.0
+    if cs.n_pairs:
+        if busiest is None:
+            busiest = cs.max_pairs_per_leaf
+        if block_size is None:
+            compute_t = cost.compute_time(busiest, m)
+        else:
+            compute_t = cost.block_compute_time(busiest, m, block_size,
+                                                inner_sweeps)
+    if phase is None:
+        return StepRecord(step=k, rotations=cs.n_pairs, messages=0,
+                          max_level=0, contention=0.0,
+                          compute_time=compute_t, comm_time=0.0)
+    return StepRecord(step=k, rotations=cs.n_pairs,
+                      messages=phase.n_messages, max_level=phase.max_level,
+                      contention=phase.contention, compute_time=compute_t,
+                      comm_time=cost.comm_time(phase, words))
+
+
+def sweep_ledger(
+    plan: CompiledSchedule,
+    topology: TreeTopology,
+    cost: CostModel,
+    m: int,
+    words: int,
+    block_size: int | None = None,
+    inner_sweeps: int = 2,
+) -> SweepStats:
+    """The cost ledger of one healthy sweep of ``plan`` on ``topology``:
+    the :class:`SweepStats` :meth:`TreeMachine.run_sweep` records with
+    no fault plan, computed without running the sweep.
+
+    A healthy sweep's charges depend only on which pairs meet on which
+    leaf and which messages cross which level — the plan and the
+    topology — never on the data.  ``words`` is the length of one
+    message: ``b * (m + n)`` with vectors accumulated, ``b * m``
+    without (``b = 1`` in scalar mode).
+    """
+    return SweepStats(steps=[
+        charge_step(cost, k, cs,
+                    plan.route_phase(topology, k - 1) if cs.has_moves else None,
+                    m, words, block_size, inner_sweeps)
+        for k, cs in enumerate(plan.steps, start=1)
+    ])
 
 
 class TreeMachine:
@@ -77,11 +148,6 @@ class TreeMachine:
         self._transport = None
         self.host_of_leaf = np.arange(topology.n_leaves, dtype=np.intp)
         self.dead_leaves: set[int] = set()
-        #: pin the event-driven reference path even when the fast path
-        #: is eligible (parity tests, fastpath-vs-event benchmarks)
-        self.force_event = False
-        #: which path the last run_sweep took ("fast" or "event")
-        self.last_sweep_path: str | None = None
 
     @property
     def n_slots(self) -> int:
@@ -289,6 +355,35 @@ class TreeMachine:
                     break
         return phase, outcome.extra_time, outcome.retries, outcome.events
 
+    def _charge(self, plan: CompiledSchedule, k: int, cs: CompiledStep,
+                m: int, words: int, sweep_index: int, stall: float,
+                events: list, corrupt_slot) -> StepRecord:
+        """Step ``k``'s record, after its rotations and moves ran.
+
+        A healthy machine charges the plan's memoised routing through
+        :func:`charge_step`, exactly as :func:`sweep_ledger` does; with
+        an injector the move phase is delivered through the transport
+        (``corrupt_slot`` damages silently corrupted payloads), and the
+        stall, retransmission time, retries and fault events are added.
+        """
+        busiest = self._busiest_leaf(cs) if cs.n_pairs else 0
+        if self.injector is None:
+            phase = plan.route_phase(self.topology, k - 1) if cs.has_moves \
+                else None
+            return charge_step(self.cost, k, cs, phase, m, words,
+                               self.block_size, self.inner_sweeps, busiest)
+        phase, extra, retries = None, 0.0, 0
+        if cs.has_moves:
+            phase, extra, retries, move_events = self._fault_deliver(
+                sweep_index, k, cs.moves, words, corrupt_slot)
+            events.extend(move_events)
+        rec = charge_step(self.cost, k, cs, phase, m, words, self.block_size,
+                          self.inner_sweeps, busiest)
+        return dataclasses.replace(
+            rec, compute_time=rec.compute_time + stall,
+            comm_time=rec.comm_time + extra, retries=retries,
+            fault_events=tuple(events))
+
     def run_sweep(
         self,
         schedule: Schedule,
@@ -299,31 +394,25 @@ class TreeMachine:
         """Execute one sweep; returns (timing stats, rotation stats, worst
         relative off-diagonal seen before rotating).
 
-        ``sweep_index`` locates the sweep for fault matching and event
-        records; it is ignored (and harmless) without an injector.
+        ``tol`` is the sweep's rotation threshold.  ``sweep_index``
+        locates the sweep for fault matching and event records; it is
+        ignored (and harmless) without an injector.
 
-        Fault-free, sanitizer-off, single-worker sweeps auto-select the
-        vectorised fast path (see :meth:`_fastpath_eligible`): columns
-        never move during the sweep, costs come in closed form from the
-        compiled plan, and the result is bit-identical to the
-        event-driven reference path — X, V, worst, rotation counters and
-        every StepRecord field (enforced by the parity suite).  Any
-        armed injector or sanitizer keeps the event path, which remains
-        the reference semantics.
+        Every step is one event: rotate the met pairs, move the columns,
+        charge the step — the per-event hooks fault injection and the
+        runtime sanitizer need.  With neither armed the records equal
+        :func:`sweep_ledger`'s for the same plan.
         """
         require(self.X is not None, "load() a matrix first")
         require(schedule.n == self.n_slots, "schedule size != machine size")
         plan = compile_schedule(schedule)
-        fast = self._fastpath_eligible()
-        self.last_sweep_path = "fast" if fast else "event"
+        m, n = self.X.shape
+        # a message carries one slot's columns of m words each (plus
+        # their V rows when vectors are accumulated)
+        words = (self.block_size or 1) * (m + (n if self.V is not None else 0))
         if self.block_size is not None:
-            if fast:
-                return self._run_sweep_fast_block(plan, tol, sort)
-            return self._run_sweep_block(plan, tol, sort, sweep_index)
-        if fast:
-            return self._run_sweep_fast_scalar(plan, tol, sort)
+            return self._run_sweep_block(plan, tol, sort, sweep_index, words)
         X, V, labels = self.X, self.V, self.labels
-        m = X.shape[0]
         batched = self.kernel == "batched"
         if batched:
             # column-as-row working buffer for this sweep; X/V remain the
@@ -335,6 +424,7 @@ class TreeMachine:
             if V is not None:
                 WT[:, m:] = V.T
             norms_sq = self._norms_sq
+        mark = corrupt_slot = None
         if self.injector is not None:
             from ..faults.corruptions import corrupt_payload
 
@@ -356,13 +446,9 @@ class TreeMachine:
         rstats = RotationStats()
         worst = 0.0
         for k, cs in enumerate(plan.steps, start=1):
-            rotations = 0
-            compute_t = 0.0
-            retries = 0
-            fault_events: list = []
+            stall, events = 0.0, []
             if self.injector is not None:
-                compute_t, fault_events = self._fault_step_begin(
-                    sweep_index, k, mark)
+                stall, events = self._fault_step_begin(sweep_index, k, mark)
             if cs.n_pairs:
                 a, b = cs.a, cs.b
                 flip = labels[a] > labels[b]
@@ -378,17 +464,6 @@ class TreeMachine:
                     st, mx = apply_step_rotations(X, V, left, right, tol, sort)
                 rstats.merge(st)
                 worst = max(worst, mx)
-                rotations = cs.n_pairs
-                # each leaf rotates at most one of the step's pairs; remote
-                # pairs (non-co-resident slots) would serialise, but the
-                # paper's orderings are fully local so the busiest leaf
-                # performs exactly one rotation
-                compute_t += self.cost.compute_time(
-                    self._busiest_leaf(cs), m)
-            comm_t = 0.0
-            messages = 0
-            max_level = 0
-            contention = 0.0
             if cs.has_moves:
                 src, dst = cs.src, cs.dst
                 if batched:
@@ -399,250 +474,22 @@ class TreeMachine:
                     if V is not None:
                         V[:, dst] = V[:, src]
                 labels[dst] = labels[src]
-                # a message carries one column of m words (plus its V row
-                # block when vectors are accumulated)
-                words = m + (X.shape[1] if V is not None else 0)
-                if self.injector is None:
-                    # healthy host map: routing depends only on (plan,
-                    # topology), so the memoised phase is exact
-                    phase = plan.route_phase(self.topology, k - 1)
-                    extra = 0.0
-                else:
-                    phase, extra, retries, move_events = self._fault_deliver(
-                        sweep_index, k, cs.moves, words, corrupt_slot)
-                    fault_events.extend(move_events)
-                messages = phase.n_messages
-                max_level = phase.max_level
-                contention = phase.contention
-                comm_t = self.cost.comm_time(phase, words) + extra
-            stats.steps.append(
-                StepRecord(
-                    step=k,
-                    rotations=rotations,
-                    messages=messages,
-                    max_level=max_level,
-                    contention=contention,
-                    compute_time=compute_t,
-                    comm_time=comm_t,
-                    retries=retries,
-                    fault_events=tuple(fault_events),
-                )
-            )
+            stats.steps.append(self._charge(plan, k, cs, m, words,
+                                            sweep_index, stall, events,
+                                            corrupt_slot))
         if batched:
             X[:] = WT[:, :m].T
             if V is not None:
                 V[:] = WT[:, m:].T
         return stats, rstats, worst
 
-    def _fastpath_eligible(self) -> bool:
-        """True when the vectorised fast path may replace the
-        event-driven sweep: no fault injector (per-move delivery and
-        degraded host maps need real events), no runtime sanitizer (its
-        write-set records hang off the event path's solvers), no
-        multi-worker executor (the fast path is a single serial
-        pipeline), and no explicit ``force_event`` pin."""
-        if self.force_event or self.injector is not None:
-            return False
-        if self._sanitizer is not None:
-            return False
-        return self._executor is None or self._executor.workers <= 1
-
-    def _fast_record(self, plan, k: int, cs: CompiledStep, rotations: int,
-                     compute_t: float, words: int) -> StepRecord:
-        """Closed-form :class:`StepRecord` of a healthy step: identical
-        to the event path's record by construction — same memoised
-        routing phase (derived from the compiled ``move_leaves``), same
-        cost-model calls, zero fault fields."""
-        comm_t = 0.0
-        messages = 0
-        max_level = 0
-        contention = 0.0
-        if cs.has_moves:
-            phase = plan.route_phase(self.topology, k - 1)
-            messages = phase.n_messages
-            max_level = phase.max_level
-            contention = phase.contention
-            comm_t = self.cost.comm_time(phase, words)
-        return StepRecord(
-            step=k,
-            rotations=rotations,
-            messages=messages,
-            max_level=max_level,
-            contention=contention,
-            compute_time=compute_t,
-            comm_time=comm_t,
-            retries=0,
-            fault_events=(),
-        )
-
-    def _run_sweep_fast_scalar(
-        self,
-        plan,
-        tol: float,
-        sort: str | None,
-    ) -> tuple[SweepStats, RotationStats, float]:
-        """Vectorised fault-free sweep at scalar granularity.
-
-        Columns never move: the plan's precomputed content pairs address
-        each step's columns where they already sit (content id = slot at
-        sweep start), and the sweep permutation is applied once at the
-        end — the event path's per-step ``X[:, dst] = X[:, src]`` column
-        copies (and the batched kernel's row moves) disappear entirely.
-        The rotation kernels receive the same values in the same pair
-        order with the same label orientation, so the arithmetic is
-        bit-identical to the event path.
-        """
-        X, V, labels = self.X, self.V, self.labels
-        m = X.shape[0]
-        fp = plan.fastpath()
-        labels0 = labels.copy()
-        batched = self.kernel == "batched"
-        if batched:
-            WT = self._WT
-            WT[:, :m] = X.T
-            if V is not None:
-                WT[:, m:] = V.T
-            norms_sq = self._norms_sq
-        stats = SweepStats()
-        rstats = RotationStats()
-        worst = 0.0
-        words = m + (X.shape[1] if V is not None else 0)
-        for k, cs in enumerate(plan.steps, start=1):
-            rotations = 0
-            compute_t = 0.0
-            if cs.n_pairs:
-                pc = fp.content_pairs[k - 1]
-                # the label a content carries is fixed for the whole
-                # sweep, so the event path's per-step ``labels[a] >
-                # labels[b]`` orientation is a static lookup here
-                flip = labels0[pc[:, 0]] > labels0[pc[:, 1]]
-                if batched:
-                    P = np.where(flip[:, None], pc[:, ::-1], pc)
-                    st, mx = apply_step_rotations_batched(
-                        WT, P, tol, sort, norms_sq, m
-                    )
-                else:
-                    left = np.where(flip, pc[:, 1], pc[:, 0])
-                    right = np.where(flip, pc[:, 0], pc[:, 1])
-                    st, mx = apply_step_rotations(X, V, left, right, tol, sort)
-                rstats.merge(st)
-                worst = max(worst, mx)
-                rotations = cs.n_pairs
-                compute_t = self.cost.compute_time(cs.max_pairs_per_leaf, m)
-            stats.steps.append(
-                self._fast_record(plan, k, cs, rotations, compute_t, words))
-        final = fp.final_layout
-        if batched:
-            X[:] = WT[final, :m].T
-            if V is not None:
-                V[:] = WT[final, m:].T
-            norms_sq[:] = norms_sq[final]
-        else:
-            X[:] = X[:, final]
-            if V is not None:
-                V[:] = V[:, final]
-        labels[:] = labels0[final]
-        return stats, rstats, worst
-
-    def _run_sweep_fast_block(
-        self,
-        plan,
-        tol: float,
-        sort: str | None,
-    ) -> tuple[SweepStats, RotationStats, float]:
-        """Vectorised fault-free sweep at block granularity.
-
-        Block indirections (``block_cols``/``labels``) stop evolving per
-        step: each step's met columns come from the plan's content pairs
-        through the sweep-start indirection, and both indirections jump
-        to their final state once at the end.  The gram kernel
-        additionally runs on transposed row-major buffers
-        (:func:`~repro.blockjacobi.kernel.fastpath_gram_step`): the
-        event path's strided column gather/scatter — its dominant cost
-        at large n — becomes contiguous row traffic, with sort-only
-        steps reduced to index relabelings.  A numerical breakdown
-        materialises ``X``/``V`` and delegates that step to the event
-        solver, preserving the per-pair fallback semantics bit for bit.
-        """
-        from ..blockjacobi.kernel import (
-            fastpath_gram_flush,
-            fastpath_gram_step,
-            solve_block_step,
-        )
-        from ..util.errors import NumericalBreakdown
-
-        X, V = self.X, self.V
-        b = self.block_size
-        m = X.shape[0]
-        n_cols = X.shape[1]
-        fp = plan.fastpath()
-        block0 = self.block_cols.copy()
-        labels0 = self.labels.copy()
-        gram = self.kernel == "gram"
-        if gram:
-            XT = np.ascontiguousarray(X.T)
-            VT = np.ascontiguousarray(V.T) if V is not None else None
-            row_of_col = np.arange(n_cols, dtype=np.intp)
-            scratch: dict = {}  # step stacks, allocated once per sweep
-        stats = SweepStats()
-        rstats = RotationStats()
-        worst = 0.0
-        words = b * (m + (n_cols if V is not None else 0))
-        for k, cs in enumerate(plan.steps, start=1):
-            rotations = 0
-            compute_t = 0.0
-            if cs.n_pairs:
-                # (n_pairs, 2b): the event path's evolving ``block_cols``
-                # indirection, replayed from the sweep-start snapshot
-                pair_cols = block0[fp.content_pairs[k - 1]].reshape(
-                    cs.n_pairs, 2 * b)
-                if gram:
-                    try:
-                        st, mx = fastpath_gram_step(
-                            XT, VT, row_of_col, pair_cols, tol, sort,
-                            self.inner_sweeps, scratch=scratch)
-                    except NumericalBreakdown:
-                        # materialise and delegate the poisoned step to
-                        # the event solver: same per-pair fallback
-                        # on the same values, then re-ingest the buffers
-                        fastpath_gram_flush(XT, VT, scratch)
-                        X[:] = XT[row_of_col].T
-                        if V is not None:
-                            V[:] = VT[row_of_col].T
-                        st, mx = solve_block_step(
-                            X, V, pair_cols, tol, sort, self.inner_sweeps,
-                            self.kernel, executor=self._executor)
-                        XT[:] = X.T
-                        if VT is not None:
-                            VT[:] = V.T
-                        row_of_col = np.arange(n_cols, dtype=np.intp)
-                else:
-                    st, mx = solve_block_step(
-                        X, V, pair_cols, tol, sort, self.inner_sweeps,
-                        self.kernel, executor=self._executor)
-                rstats.merge(st)
-                worst = max(worst, mx)
-                rotations = cs.n_pairs
-                compute_t = self.cost.block_compute_time(
-                    cs.max_pairs_per_leaf, m, b, self.inner_sweeps)
-            stats.steps.append(
-                self._fast_record(plan, k, cs, rotations, compute_t, words))
-        final = fp.final_layout
-        if gram:
-            fastpath_gram_flush(XT, VT, scratch)
-            X[:] = XT[row_of_col].T
-            if V is not None:
-                V[:] = VT[row_of_col].T
-        self.block_cols[:] = block0[final]
-        self.labels[:] = labels0[final]
-        return stats, rstats, worst
-
     def _run_sweep_block(
         self,
-        plan,
+        plan: CompiledSchedule,
         tol: float,
         sort: str | None,
-        sweep_index: int = 0,
+        sweep_index: int,
+        words: int,
     ) -> tuple[SweepStats, RotationStats, float]:
         """Block-granularity sweep: met pairs solve 2b-column subproblems,
         moves carry whole blocks, records charge block work."""
@@ -652,6 +499,7 @@ class TreeMachine:
         block_cols = self.block_cols
         b = self.block_size
         m = X.shape[0]
+        mark = corrupt_slot = None
         if self.injector is not None:
             from ..faults.corruptions import corrupt_payload
 
@@ -670,13 +518,9 @@ class TreeMachine:
         rstats = RotationStats()
         worst = 0.0
         for k, cs in enumerate(plan.steps, start=1):
-            rotations = 0
-            compute_t = 0.0
-            retries = 0
-            fault_events: list = []
+            stall, events = 0.0, []
             if self.injector is not None:
-                compute_t, fault_events = self._fault_step_begin(
-                    sweep_index, k, mark)
+                stall, events = self._fault_step_begin(sweep_index, k, mark)
             if cs.n_pairs:
                 # (n_pairs, 2b): row i = the met columns of block pair i
                 pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
@@ -686,48 +530,14 @@ class TreeMachine:
                                           sanitizer=self._sanitizer)
                 rstats.merge(st)
                 worst = max(worst, mx)
-                # block granularity: one "rotation" per met block pair
-                rotations = cs.n_pairs
-                compute_t += self.cost.block_compute_time(
-                    self._busiest_leaf(cs), m, b, self.inner_sweeps
-                )
-            comm_t = 0.0
-            messages = 0
-            max_level = 0
-            contention = 0.0
             if cs.has_moves:
-                src, dst = cs.src, cs.dst
                 # fancy assignment materialises the gather first, so the
                 # snapshot semantics of a move phase hold
-                block_cols[dst] = block_cols[src]
-                labels[dst] = labels[src]
-                # a message carries one b-column block of b*m words (plus
-                # its V row block when vectors are accumulated)
-                words = b * (m + (X.shape[1] if V is not None else 0))
-                if self.injector is None:
-                    phase = plan.route_phase(self.topology, k - 1)
-                    extra = 0.0
-                else:
-                    phase, extra, retries, move_events = self._fault_deliver(
-                        sweep_index, k, cs.moves, words, corrupt_slot)
-                    fault_events.extend(move_events)
-                messages = phase.n_messages
-                max_level = phase.max_level
-                contention = phase.contention
-                comm_t = self.cost.comm_time(phase, words) + extra
-            stats.steps.append(
-                StepRecord(
-                    step=k,
-                    rotations=rotations,
-                    messages=messages,
-                    max_level=max_level,
-                    contention=contention,
-                    compute_time=compute_t,
-                    comm_time=comm_t,
-                    retries=retries,
-                    fault_events=tuple(fault_events),
-                )
-            )
+                block_cols[cs.dst] = block_cols[cs.src]
+                labels[cs.dst] = labels[cs.src]
+            stats.steps.append(self._charge(plan, k, cs, m, words,
+                                            sweep_index, stall, events,
+                                            corrupt_slot))
         return stats, rstats, worst
 
     def column_norms(self) -> np.ndarray:

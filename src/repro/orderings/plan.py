@@ -39,7 +39,6 @@ from .schedule import Move, Schedule
 __all__ = [
     "CompiledSchedule",
     "CompiledStep",
-    "FastPathPlan",
     "PLAN_MEMO_ATTR",
     "PlanCacheStats",
     "clear_plan_cache",
@@ -55,10 +54,6 @@ __all__ = [
 _CACHE_MAXSIZE = 128
 
 _EMPTY = np.empty(0, dtype=np.intp)
-
-#: sentinel key of the fast-path memo inside the plan's ``_routes`` dict
-#: (topology keys are tuples, so a plain string can never collide)
-_FASTPATH_KEY = "__fastpath__"
 
 
 @dataclass(frozen=True)
@@ -108,54 +103,6 @@ class CompiledStep:
 
 
 @dataclass(frozen=True)
-class FastPathPlan:
-    """Per-sweep tensors of the simulator's vectorised fast path.
-
-    The fault-free simulator never moves columns during a sweep: it
-    addresses *contents* directly (content id = slot at sweep start) and
-    applies the whole sweep permutation once at the end.  Everything it
-    needs is derived here, once per plan:
-
-    ``content_pairs[i]`` is the ``(k, 2)`` array of content ids met at
-    step ``i`` — ``trajectory[i-1][steps[i].pairs]``, the replay of the
-    move tensors that the event-driven path performs one fancy
-    assignment per step.  ``final_layout`` / ``final_list`` are the
-    sweep permutation (array and memoised plain-int forms; the latter is
-    what :func:`~repro.orderings.schedule.permutation_of_sweep` hands
-    out, so repeat calls no longer re-run ``tolist``).
-    """
-
-    #: per-step (k, 2) content-id pairs (content = slot at sweep start)
-    content_pairs: tuple[np.ndarray, ...]
-    #: sweep permutation: content id ending up at each slot
-    final_layout: np.ndarray
-    #: the same permutation as plain ints (memoised ``tolist``)
-    final_list: tuple[int, ...]
-    #: largest pair count of any step (fast-path scratch sizing)
-    max_pairs: int
-
-
-def _derive_fastpath(plan: "CompiledSchedule") -> FastPathPlan:
-    """Replay the sweep trajectory into per-step content-pair tensors."""
-    prev = np.arange(plan.n, dtype=np.intp)
-    content_pairs: list[np.ndarray] = []
-    max_pairs = 0
-    for i, cs in enumerate(plan.steps):
-        pc = np.ascontiguousarray(prev[cs.pairs]) if cs.n_pairs else cs.pairs
-        pc.setflags(write=False)
-        content_pairs.append(pc)
-        max_pairs = max(max_pairs, cs.n_pairs)
-        prev = plan.trajectory[i]
-    final = plan.final_layout()
-    return FastPathPlan(
-        content_pairs=tuple(content_pairs),
-        final_layout=final,
-        final_list=tuple(int(x) for x in final),
-        max_pairs=max_pairs,
-    )
-
-
-@dataclass(frozen=True)
 class CompiledSchedule:
     """A whole sweep lowered once; shared, immutable, thread-safe.
 
@@ -190,21 +137,6 @@ class CompiledSchedule:
         if len(self.trajectory):
             return self.trajectory[-1]
         return np.arange(self.n, dtype=np.intp)
-
-    def fastpath(self) -> FastPathPlan:
-        """The sweep's :class:`FastPathPlan`, derived once and memoised.
-
-        Shares the routing memo's lock/dict (the plan is frozen); the
-        derivation is pure, so a rare duplicate derivation under
-        contention is merely wasted work, never inconsistency.
-        """
-        with self._routes_lock:
-            fp = self._routes.get(_FASTPATH_KEY)
-        if fp is None:
-            fp = _derive_fastpath(self)
-            with self._routes_lock:
-                fp = self._routes.setdefault(_FASTPATH_KEY, fp)
-        return fp
 
     def route_phase(self, topology, step_index: int):
         """Healthy-mode :class:`~repro.machine.routing.MessagePhase` of a

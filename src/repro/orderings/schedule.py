@@ -241,10 +241,7 @@ def permutation_of_sweep(schedule: Schedule) -> list[int]:
     Reads the compiled plan (:mod:`repro.orderings.plan`), whose
     trajectory is precomputed once per schedule structure; the lazy
     import avoids a cycle (the plan module lowers this module's types).
-    The plain-int conversion is memoised on the plan's fast-path bundle,
-    so hot consumers (the batched kernel's slot-to-row indirection, the
-    sweep-coverage verifier) pay it once per structure, not per call.
     """
     from .plan import compile_schedule
 
-    return list(compile_schedule(schedule).fastpath().final_list)
+    return compile_schedule(schedule).final_layout().tolist()

@@ -1,16 +1,25 @@
 """Distributed one-sided Jacobi SVD on the simulated tree machine.
 
 ``ParallelJacobiSVD`` is the parallel counterpart of
-:func:`repro.svd.jacobi_svd`: the same sweep loop, but every phase runs
-on a :class:`~repro.machine.TreeMachine`, producing a full execution
-timeline alongside the decomposition.  Convergence detection models the
-tree reduction a real machine would perform (an all-reduce over the
-leaves costs one up-and-down traversal, charged per sweep).
+:func:`repro.svd.jacobi_svd`: the same sweep loop, plus a full execution
+timeline of the run on a :class:`~repro.machine.TreeMachine`.
+Convergence detection models the tree reduction a real machine would
+perform (an all-reduce over the leaves costs one up-and-down traversal,
+charged per sweep).
+
+There is one numerics engine.  A healthy run — no fault plan, no armed
+sanitizer — *is* the serial driver on the run's ordering, and its
+timeline is the plan's cost ledger
+(:func:`~repro.machine.simulator.sweep_ledger`), because a healthy
+sweep's charges depend only on the ordering and the topology.  Fault
+injection and the runtime sanitizer need per-event hooks, so they run
+the machine's event path (:meth:`~repro.machine.TreeMachine.run_sweep`),
+which is bit-compared against the serial drivers.
 
 Passing a :class:`~repro.blockjacobi.BlockJacobiOptions` (or
 ``block_size`` through :func:`repro.parallel_svd`) switches the driver
 to *block* mode: the schedule runs on the ``n / b`` column blocks, each
-message carries ``b`` columns, and the machine solves the local
+message carries ``b`` columns, and the leaves solve the local
 ``2b``-column subproblems with the chosen block kernel — the parallel
 counterpart of :func:`repro.blockjacobi.block_jacobi_svd`.
 """
@@ -22,16 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..blockjacobi.driver import BlockJacobiOptions
-from ..core.result import SVDResult, SweepRecord, sigma_converged
+from ..blockjacobi.driver import BlockJacobiOptions, block_jacobi_svd_batch
+from ..core.result import SVDResult, SweepRecord, assemble_result
 from ..machine.costmodel import CostModel
-from ..machine.simulator import TreeMachine
+from ..machine.simulator import TreeMachine, sweep_ledger
 from ..machine.stats import SweepStats
 from ..machine.topology import TreeTopology, make_topology
 from ..orderings.base import Ordering
+from ..orderings.plan import compile_schedule
 from ..orderings.registry import make_ordering
 from ..svd.convergence import off_norm
-from ..svd.hestenes import JacobiOptions
+from ..svd.hestenes import JacobiOptions, jacobi_svd
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
 
@@ -108,7 +118,7 @@ class ParallelJacobiSVD:
             return self.options.block_size
         return None
 
-    def _build(self, n: int) -> tuple[TreeMachine, Ordering]:
+    def _build(self, n: int) -> tuple[TreeTopology, Ordering]:
         b = self.block_size or 1
         require(n % (2 * b) == 0,
                 f"n={n} must be a multiple of 2*block_size={2 * b} "
@@ -128,13 +138,21 @@ class ParallelJacobiSVD:
             else make_ordering(self._ordering_spec, n_units, **self._ordering_kwargs)
         )
         require(ordering.n == n_units, "ordering size mismatch")
-        return TreeMachine(topo, self.cost_model), ordering
+        return topo, ordering
+
+    def _allreduce_time(self, topology: TreeTopology) -> float:
+        """One all-reduce (up and down the tree) for the convergence flag."""
+        return (self.cost_model.alpha
+                + 2 * self.cost_model.hop_time * max(1, topology.n_levels))
 
     def compute(
         self, a: np.ndarray, compute_uv: bool = True,
         fault_plan=None,
     ) -> tuple[SVDResult, ParallelRunReport]:
         """Run the distributed SVD; returns (decomposition, telemetry).
+
+        A healthy run (no fault plan, sanitizer off) runs the serial
+        driver and charges each sweep's cost ledger.
 
         With a :class:`~repro.faults.FaultPlan` the run executes under
         fault injection: a checkpoint is taken at every sweep boundary,
@@ -146,12 +164,10 @@ class ParallelJacobiSVD:
         never silently wrong output.
         """
         a = np.asarray(a, dtype=np.float64)
-        m, n = a.shape
         # n > m is allowed for zero-padded inputs (at most m nonzero sigma)
-        machine, ordering = self._build(n)
+        topology, ordering = self._build(a.shape[1])
         opts = self.options
         block = isinstance(opts, BlockJacobiOptions)
-        executor = None
         # fault-injected runs never arm the sanitizer: injected damage is
         # *meant* to reach the recovery machinery (rollback, remap), not
         # to abort the process, and the fault loop runs the same
@@ -165,6 +181,11 @@ class ParallelJacobiSVD:
 
                 if sanitize_enabled():
                     sanitizer = RuntimeSanitizer()
+        if fault_plan is None and sanitizer is None:
+            return self._compute_healthy(a, topology, ordering, opts, block,
+                                         compute_uv)
+        machine = TreeMachine(topology, self.cost_model)
+        executor = None
         if block:
             executor = opts.make_executor()
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel,
@@ -176,18 +197,40 @@ class ParallelJacobiSVD:
         if sanitizer is not None:
             sanitizer.arm_reference(machine.X)
         try:
-            return self._compute_loaded(
-                a, machine, ordering, opts, block, compute_uv, fault_plan,
-                sanitizer)
+            return self._compute_loaded(machine, ordering, opts, block,
+                                        fault_plan, sanitizer)
         finally:
             if executor is not None:
                 executor.close()
 
-    def _compute_loaded(
-        self, a, machine, ordering, opts, block, compute_uv, fault_plan,
-        sanitizer=None,
+    def _compute_healthy(
+        self, a, topology, ordering, opts, block, compute_uv,
     ) -> tuple[SVDResult, ParallelRunReport]:
+        """The serial driver on ``ordering``, plus one cost ledger per
+        sweep it ran (:func:`~repro.machine.simulator.sweep_ledger`)."""
         m, n = a.shape
+        if block:
+            result = block_jacobi_svd_batch(a[None], ordering, opts,
+                                            compute_uv)[0]
+        else:
+            result = jacobi_svd(a, ordering=ordering, options=opts,
+                                compute_uv=compute_uv, allow_wide=True)
+        b = self.block_size
+        words = (b or 1) * (m + (n if compute_uv else 0))
+        allreduce = self._allreduce_time(topology)
+        report = ParallelRunReport()
+        for sweep in range(result.sweeps):
+            report.sweep_stats.append(sweep_ledger(
+                compile_schedule(ordering.sweep(sweep)), topology,
+                self.cost_model, m, words, b,
+                getattr(opts, "inner_sweeps", 2)))
+            report.reduction_time += allreduce
+        return result, report
+
+    def _compute_loaded(
+        self, machine, ordering, opts, block, fault_plan, sanitizer,
+    ) -> tuple[SVDResult, ParallelRunReport]:
+        """The event path: every sweep runs on the loaded ``machine``."""
         injector = None
         watchdog = None
         if fault_plan is not None:
@@ -201,19 +244,21 @@ class ParallelJacobiSVD:
         converged = False
         failed = False
         sweeps = 0
-        allreduce = (
-            self.cost_model.alpha
-            + 2 * self.cost_model.hop_time * max(1, machine.topology.n_levels)
-        )
+        allreduce = self._allreduce_time(machine.topology)
+        strategy = getattr(opts, "threshold_strategy", None)
         for sweep in range(opts.max_sweeps):
             sched = ordering.sweep(sweep)
+            # the rotation threshold of this sweep; termination uses tol
+            rot_tol = opts.tol
+            if strategy is not None:
+                rot_tol = max(strategy.threshold(sweep), opts.tol)
             if injector is None:
                 sweep_stats, rstats, worst = machine.run_sweep(
-                    sched, tol=opts.tol, sort=opts.sort, sweep_index=sweep
+                    sched, tol=rot_tol, sort=opts.sort, sweep_index=sweep
                 )
             else:
                 outcome = self._run_sweep_recovered(
-                    machine, sched, sweep, opts, injector, report)
+                    machine, sched, sweep, opts, rot_tol, injector, report)
                 if outcome is None:
                     # recovery budget exhausted; machine state is the
                     # last checkpoint — fail explicitly below
@@ -258,46 +303,11 @@ class ParallelJacobiSVD:
                 "the result is a partial decomposition "
                 "(check result.converged)",
                 ConvergenceWarning, stacklevel=2)
-
-        X = machine.X
-        V = machine.V
-        norms = np.linalg.norm(X, axis=0)
-        sigma_by_slot = norms.copy()
-        scale = max(1.0, float(norms.max(initial=0.0)))
-        diffs = np.diff(norms)
-        if np.all(diffs <= 1e-9 * scale):
-            emerged = "desc"
-        elif np.all(diffs >= -1e-9 * scale):
-            emerged = "asc"
-        else:
-            emerged = None
-        order = np.argsort(-norms, kind="stable")
-        sigma = norms[order]
-        rank_tol = getattr(opts, "rank_tol", 1e-12)
-        rank = int(np.count_nonzero(sigma > rank_tol * max(scale, 1e-300)))
-        if compute_uv:
-            u = np.zeros((m, n))
-            nz = sigma > 0
-            cols = X[:, order]
-            u[:, nz] = cols[:, nz] / sigma[nz]
-            v = V[:, order]
-        else:
-            u = np.zeros((m, 0))
-            v = np.zeros((n, 0))
-        result = SVDResult(
-            u=u,
-            sigma=sigma,
-            v=v,
-            rank=rank,
-            converged=sigma_converged(sigma, converged),
-            sweeps=sweeps,
-            rotations=sum(h.rotations for h in history),
-            sigma_by_slot=sigma_by_slot,
-            emerged_sorted=emerged,
-            history=history,
-            fault_events=list(injector.log) if injector is not None else [],
+        result = assemble_result(
+            machine.X, machine.V, history, converged, sweeps,
+            rank_tol=getattr(opts, "rank_tol", 1e-12),
             watchdog=watchdog.message if watchdog is not None else None,
-        )
+            fault_events=list(injector.log) if injector is not None else [])
         return result, report
 
     def _run_sweep_recovered(
@@ -306,6 +316,7 @@ class ParallelJacobiSVD:
         sched,
         sweep: int,
         opts,
+        rot_tol: float,
         injector,
         report: ParallelRunReport,
     ):
@@ -340,7 +351,7 @@ class ParallelJacobiSVD:
         for attempt in range(injector.max_sweep_attempts):
             try:
                 stats, rstats, worst = machine.run_sweep(
-                    sched, tol=opts.tol, sort=opts.sort, sweep_index=sweep)
+                    sched, tol=rot_tol, sort=opts.sort, sweep_index=sweep)
                 # sweep-end heartbeat: catches silent corruption (and
                 # crashes) that no kernel sentinel met mid-sweep
                 machine.require_finite()

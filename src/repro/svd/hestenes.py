@@ -9,11 +9,13 @@ iteration terminates when one complete sweep passes the threshold test
 for every pair.
 
 This driver executes the *slot-level schedules* of
-:mod:`repro.orderings`, moving actual columns between slots exactly as
-the parallel machine would, so the sorted-output and order-restoration
-behaviour of each ordering is observable on real numerics.  It is also
-the numerical reference the simulated tree machine is bit-compared
-against.
+:mod:`repro.orderings`: every step rotates the columns its slot pairs
+hold, and every sweep leaves the columns where the schedule's moves put
+them, so the sorted-output and order-restoration behaviour of each
+ordering is observable on real numerics.  A healthy
+:class:`~repro.parallel.ParallelJacobiSVD` run is this driver plus the
+plan's cost ledger; the simulated tree machine's event path, which
+moves the columns at every move phase, is bit-compared against it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.result import SVDResult, SweepRecord, sigma_converged
+from ..core.result import SVDResult, SweepRecord, assemble_result
 from ..orderings.base import Ordering
 from ..orderings.registry import make_ordering
 from ..util.errors import ConvergenceWarning
@@ -125,8 +127,8 @@ def hestenes_sweeps(
     """Run threshold-Jacobi sweeps in place; returns (history, converged, sweeps).
 
     ``X`` (m x n) is transformed into ``H = A V``; ``V`` accumulates the
-    rotations when given.  Column moves of the schedule are applied to
-    both, mirroring the machine's communication phases.
+    rotations when given.  After every sweep both hold their columns
+    where the schedule's moves put them, as on the machine.
 
     With ``options.kernel == "batched"`` the loop works on the stacked
     array ``W = [X; V]`` so data and vector columns advance in one fused
@@ -140,12 +142,45 @@ def hestenes_sweeps(
     return _sweeps_reference(X, V, ordering, options)
 
 
+def _content_pairs(
+    sched: object,
+) -> tuple[list[np.ndarray | None], np.ndarray]:
+    """A sweep in *content* ids (the slot a column held at sweep start):
+    per step the ``(k, 2)`` pairs (``None`` for a step without pairs),
+    and the sweep permutation.
+
+    Every move phase permutes its slots (:class:`~repro.orderings.schedule.Step`
+    requires it), so the columns met at step ``i`` are those the sweep
+    started in slots ``layout[pairs]``, ``layout`` being the compiled
+    plan's trajectory row before the step."""
+    from ..orderings.plan import compile_schedule
+
+    plan = compile_schedule(sched)
+    pairs: list[np.ndarray | None] = []
+    for i, cs in enumerate(plan.steps):
+        if not cs.n_pairs:
+            pairs.append(None)
+        elif i == 0:
+            pairs.append(cs.pairs)
+        else:
+            pairs.append(plan.trajectory[i - 1][cs.pairs])
+    return pairs, plan.final_layout()
+
+
 def _sweeps_reference(
     X: np.ndarray,
     V: np.ndarray | None,
     ordering: Ordering,
     options: JacobiOptions,
 ) -> tuple[list[SweepRecord], bool, int]:
+    """Reference-kernel sweep loop.
+
+    Columns stay where the sweep found them: each step rotates the
+    columns its pairs hold (:func:`_content_pairs`), and the sweep
+    permutation is applied to ``X``, ``V`` and the labels once at the
+    end — the same values in the same pair order as moving the columns
+    at every move phase, without the copies.
+    """
     n = X.shape[1]
     history: list[SweepRecord] = []
     converged = False
@@ -155,35 +190,37 @@ def _sweeps_reference(
     # exchanges — the exchanges are what places the larger-norm column at
     # the slot "associated with the index of a smaller number" (Section 4)
     labels = np.arange(n, dtype=np.intp)
-    # schedules are cached per ordering, so converted index arrays can be
+    # schedules are cached per ordering, so content pairs can be
     # memoised by schedule identity across sweeps
-    arrays_cache: dict[int, list] = {}
+    pairs_cache: dict[int, tuple] = {}
     for sweep in range(options.max_sweeps):
         sched = ordering.sweep(sweep)
-        steps = arrays_cache.get(id(sched))
-        if steps is None:
-            steps = arrays_cache[id(sched)] = _schedule_arrays(sched)
+        entry = pairs_cache.get(id(sched))
+        if entry is None:
+            entry = pairs_cache[id(sched)] = _content_pairs(sched)
+        steps, final = entry
         stats = RotationStats()
         worst = 0.0
         rot_tol = options.tol
         if options.threshold_strategy is not None:
             rot_tol = max(options.threshold_strategy.threshold(sweep), options.tol)
-        for ab, src, dst in steps:
-            if ab is not None:
-                # orient each pair by its tracked labels so the sorting
-                # exchanges are consistent along schedule trajectories
-                la = labels[ab]
-                flip = la[:, 0] > la[:, 1]
-                left = np.where(flip, ab[:, 1], ab[:, 0])
-                right = np.where(flip, ab[:, 0], ab[:, 1])
-                st, mx = apply_step_rotations(X, V, left, right, rot_tol, options.sort)
-                stats.merge(st)
-                worst = max(worst, mx)
-            if src is not None:
-                labels[dst] = labels[src]
-                X[:, dst] = X[:, src]
-                if V is not None:
-                    V[:, dst] = V[:, src]
+        for pc in steps:
+            if pc is None:
+                continue
+            # orient each pair by the labels its columns carry (fixed for
+            # the sweep) so the sorting exchanges are consistent along
+            # schedule trajectories
+            la = labels[pc]
+            flip = la[:, 0] > la[:, 1]
+            left = np.where(flip, pc[:, 1], pc[:, 0])
+            right = np.where(flip, pc[:, 0], pc[:, 1])
+            st, mx = apply_step_rotations(X, V, left, right, rot_tol, options.sort)
+            stats.merge(st)
+            worst = max(worst, mx)
+        X[:] = X[:, final]
+        if V is not None:
+            V[:] = V[:, final]
+        labels = labels[final]
         sweeps_done = sweep + 1
         history.append(
             SweepRecord(
@@ -347,57 +384,15 @@ def jacobi_svd(
     if not converged:
         # run the stall detector over the recorded off-norm series so the
         # result says *why* the budget ran out, then refuse to be silent
-        from ..faults.watchdog import ConvergenceWatchdog
+        from ..faults.watchdog import diagnose_history
 
-        dog = ConvergenceWatchdog()
-        for h in history:
-            dog.observe(h.sweep, h.off_norm)
-        watchdog_msg = dog.escalate(opts.max_sweeps)
+        watchdog_msg = diagnose_history(history, opts.max_sweeps)
         warnings.warn(
             f"Jacobi SVD did not converge: {watchdog_msg}; the result is "
             "a partial decomposition (check result.converged)",
             ConvergenceWarning, stacklevel=2)
-
     # norms are computed on the scaled data (no overflow) and the scale
     # factor re-applied on sigma only; U is scale-invariant
-    norms = np.linalg.norm(X, axis=0) * prescale
-    sigma_by_slot = norms.copy()
-    scale = max(1.0, float(norms.max(initial=0.0)))
-    diffs = np.diff(norms)
-    if np.all(diffs <= 1e-9 * scale):
-        emerged = "desc"
-    elif np.all(diffs >= -1e-9 * scale):
-        emerged = "asc"
-    else:
-        emerged = None
-
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    max_norm = sigma[0] if n else 0.0
-    rank = int(np.count_nonzero(sigma > opts.rank_tol * max(max_norm, 1e-300)))
-
-    if compute_uv:
-        u = np.zeros((m, n))
-        nz = sigma > 0
-        cols = X[:, order]
-        # X is still in the prescaled frame: normalise by the scaled norms
-        u[:, nz] = cols[:, nz] / (sigma[nz] / prescale)
-        v = V[:, order]
-    else:
-        u = np.zeros((m, 0))
-        v = np.zeros((n, 0))
-
-    total_rot = sum(h.rotations for h in history)
-    return SVDResult(
-        u=u,
-        sigma=sigma,
-        v=v,
-        rank=rank,
-        converged=sigma_converged(sigma, converged),
-        sweeps=sweeps,
-        rotations=total_rot,
-        sigma_by_slot=sigma_by_slot,
-        emerged_sorted=emerged,
-        history=history,
-        watchdog=watchdog_msg,
-    )
+    return assemble_result(X, V, history, converged, sweeps,
+                           rank_tol=opts.rank_tol, prescale=prescale,
+                           watchdog=watchdog_msg)

@@ -21,8 +21,7 @@ detector or sanitizer gates a parallel runtime:
 * :mod:`repro.verify.linter` — orchestration over schedules, orderings
   and the whole registry (the ``repro-harness lint`` gate);
 * :mod:`repro.verify.executor_plan` — static race/determinism analysis
-  of executor chunkings and the simulator fast path's write-sets
-  (``EXEC001``-``EXEC004``, ``EXEC006``);
+  of executor chunkings (``EXEC001``-``EXEC004``);
 * :mod:`repro.verify.plancheck` — compiled-plan re-elaboration and
   plan-cache integrity (``PLAN001``-``PLAN003``);
 * :mod:`repro.verify.faultcheck` — fault-tolerance totality: every
@@ -68,7 +67,6 @@ from .corrupt import (
     stale_plan_memo,
     stray_column_touch,
     tamper_final_layout,
-    tamper_fastpath_rows,
     tamper_plan_pairs,
     unchecked_schedule,
     unchecked_step,
@@ -83,7 +81,6 @@ from .executor_plan import (
     SKEW_THRESHOLD,
     StagePlan,
     check_executor_plan,
-    check_fastpath_projection,
     check_stage_plan,
     derive_step_chunking,
 )
@@ -126,7 +123,6 @@ __all__ = [
     "check_deadlock_free",
     "check_degraded_totality",
     "check_executor_plan",
-    "check_fastpath_projection",
     "check_host_map",
     "check_numeric_canaries",
     "check_ordering_restoration",
@@ -163,7 +159,6 @@ __all__ = [
     "static_level_contention",
     "stray_column_touch",
     "tamper_final_layout",
-    "tamper_fastpath_rows",
     "tamper_plan_pairs",
     "unchecked_schedule",
     "unchecked_step",

@@ -11,9 +11,6 @@ sound for those schedules.  For every registered ordering x size it
 * derives the executor's chunking for every kernel x worker-count
   configuration and proves it race-free and merge-deterministic
   (:mod:`repro.verify.executor_plan`, ``EXEC001``-``EXEC004``);
-* projects the simulator fast path's per-step write-sets and proves
-  each stacked scatter hazard-free, trajectory-consistent and the
-  sweep permutation a bijection (``EXEC006``);
 * enumerates every single-leaf death and proves graceful degradation
   total (:mod:`repro.verify.faultcheck`, ``FT001``).
 
@@ -33,7 +30,7 @@ from ..orderings.base import Ordering
 from ..orderings.registry import ORDERINGS, make_ordering
 from ..orderings.schedule import Schedule
 from .diagnostics import Report
-from .executor_plan import check_executor_plan, check_fastpath_projection
+from .executor_plan import check_executor_plan
 from .faultcheck import check_degraded_totality
 from .linter import DEFAULT_SIZES, MAX_RESTORATION_PERIOD
 from .plancheck import check_plan_cache, check_plan_integrity
@@ -65,7 +62,6 @@ def analyze_schedule(
     report = Report(target=schedule.name)
     report.extend(check_plan_integrity(schedule), "plan-integrity")
     report.extend(check_plan_cache(schedule), "plan-cache")
-    report.extend(check_fastpath_projection(schedule), "fastpath-projection")
     for kernel in kernels:
         for w in workers:
             report.extend(

@@ -16,7 +16,6 @@ operator                    rule the verifier must fire
 :func:`split_unsplittable_stage` ``EXEC002`` (coupled stage split)
 :func:`shuffle_chunk_bounds`     ``EXEC003`` (merge order broken)
 :func:`skew_chunk_bounds`        ``EXEC004`` (load skew)
-:func:`tamper_fastpath_rows`     ``EXEC006`` (fast-path scatter row duplicated)
 :func:`tamper_plan_pairs`        ``PLAN001`` (lowered arrays corrupted)
 :func:`tamper_final_layout`      ``PLAN002`` (trajectory corrupted)
 :func:`stale_plan_memo`          ``PLAN003`` (stale cached plan)
@@ -51,8 +50,7 @@ from ..faults.corruptions import (
     unchecked_schedule,
     unchecked_step,
 )
-from ..orderings.plan import (PLAN_MEMO_ATTR, CompiledSchedule, FastPathPlan,
-                              lower_schedule)
+from ..orderings.plan import PLAN_MEMO_ATTR, CompiledSchedule, lower_schedule
 from ..orderings.schedule import Move, Schedule, Step
 from ..util.validation import require
 from .executor_plan import StagePlan
@@ -69,7 +67,6 @@ __all__ = [
     "shuffle_chunk_bounds",
     "skew_chunk_bounds",
     "tamper_plan_pairs",
-    "tamper_fastpath_rows",
     "tamper_final_layout",
     "stale_plan_memo",
     "dead_host_map",
@@ -275,27 +272,6 @@ def tamper_final_layout(schedule: Schedule) -> CompiledSchedule:
         trajectory[-1, 1], trajectory[-1, 0]
     trajectory.setflags(write=False)
     return dataclasses.replace(plan, trajectory=trajectory)
-
-
-def tamper_fastpath_rows(schedule: Schedule) -> "tuple[CompiledSchedule, FastPathPlan]":
-    """Duplicate a content row inside one fast-path step's pairs.
-
-    The compiled plan itself stays sound (``PLAN*`` and the chunking
-    rules stay silent); the returned fast-path bundle names one content
-    row in two pairs of the first rotating step — the stacked-scatter
-    write-write hazard only the fast-path projection (``EXEC006``) can
-    see.  Returns ``(plan, corrupted_fastpath)`` for
-    :func:`~repro.verify.executor_plan.check_fastpath_projection`.
-    """
-    plan = lower_schedule(schedule)
-    fp = plan.fastpath()
-    for k, pc in enumerate(fp.content_pairs):
-        if len(pc) >= 2:
-            pairs = pc.copy()
-            pairs[1, 0] = pairs[0, 0]  # row now written by two pairs
-            broken = (*fp.content_pairs[:k], pairs, *fp.content_pairs[k + 1:])
-            return plan, dataclasses.replace(fp, content_pairs=broken)
-    raise ValueError(f"{schedule.name} has no two-pair step to tamper with")
 
 
 def stale_plan_memo(schedule: Schedule) -> Schedule:

@@ -56,10 +56,6 @@ RULES: dict[str, tuple[str, str]] = {
                          "step's work items (serial-merge order not deterministic)"),
     "EXEC004": ("warning", "executor chunking skews load: the largest chunk holds at "
                            "least twice the ideal per-chunk share"),
-    "EXEC006": ("error", "fast-path write-set projection unsound: a step's stacked "
-                         "scatter writes a content row twice, the content pairs "
-                         "disagree with the event path's trajectory replay, or the "
-                         "sweep's final layout is not a permutation"),
     "PLAN001": ("error", "compiled step arrays disagree with the source schedule "
                          "(pair/move lowering corrupted)"),
     "PLAN002": ("error", "compiled trajectory or final layout disagrees with the "

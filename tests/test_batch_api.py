@@ -250,6 +250,18 @@ class TestInputNormalisation:
         keep3 = stack.copy()
         svd_batch(stack, kernel="gram", block_size=2)
         assert np.array_equal(stack, keep3)
+        # the block driver keeps each item's columns as rows: input that
+        # already has that layout must still be copied, not rotated
+        from repro.blockjacobi import (BlockJacobiOptions, block_jacobi_svd,
+                                       block_jacobi_svd_batch)
+
+        opts = BlockJacobiOptions(block_size=2)
+        fortran = np.asfortranarray(keep)
+        block_jacobi_svd(fortran, options=opts)
+        assert np.array_equal(fortran, keep)
+        rows = keep3.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        block_jacobi_svd_batch(rows, options=opts)
+        assert np.array_equal(rows, keep3)
 
 
 class TestPcaBatch:

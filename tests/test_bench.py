@@ -54,9 +54,9 @@ class TestTiming:
 
 
 class TestScenarios:
-    def test_full_list_has_thirty_quick_has_twenty(self):
-        assert len(default_scenarios(quick=False)) == 30
-        assert len(default_scenarios(quick=True)) == 20
+    def test_full_list_has_twenty_nine_quick_has_nineteen(self):
+        assert len(default_scenarios(quick=False)) == 29
+        assert len(default_scenarios(quick=True)) == 19
 
     def test_names_unique_and_stable(self):
         full = scenario_names(quick=False)
@@ -75,7 +75,6 @@ class TestScenarios:
         assert "batch/loop/ring_new/n16x1000" in full
         assert "batch/batch/ring_new/n16x1000" in full
         assert "batch/batch/ring_new/n16x10000" in full
-        assert "sim/fastpath-vs-event/n512" in full
         assert "tune/quick/n64" in full
         assert "faults/recovery-overhead/n16" in full
         assert "lint/registry" in full

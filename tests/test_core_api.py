@@ -199,3 +199,34 @@ class TestConvergenceSurfacing:
         assert r.converged
         assert r.watchdog is None
         assert r.fault_summary() == {}
+
+
+class TestRankIsScaleInvariant:
+    """Every path counts rank against sigma_max, so scaling the input
+    changes no rank: 40x32 with sigma = logspace(0, -14) reads 27 at any
+    scale."""
+
+    @staticmethod
+    def _graded(rng):
+        u, _ = np.linalg.qr(rng.standard_normal((40, 32)))
+        v, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        return (u * np.logspace(0, -14, 32)) @ v.T
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_rank_agrees_across_paths(self, rng, monkeypatch, c):
+        from repro import BlockJacobiOptions
+
+        a = c * self._graded(rng)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        ranks = {
+            "svd": svd(a).rank,
+            "block svd": svd(a, block_size=4).rank,
+            "svd_batch": svd_batch(a[None], block_size=4)[0].rank,
+            "parallel_svd": parallel_svd(a)[0].rank,
+            "block parallel_svd": parallel_svd(a, block_size=4)[0].rank,
+            "block event path": parallel_svd(a, options=BlockJacobiOptions(
+                block_size=4, sanitize=True))[0].rank,
+        }
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        ranks["event path"] = parallel_svd(a)[0].rank
+        assert set(ranks.values()) == {27}, ranks
