@@ -90,10 +90,10 @@ e2e:
 e2e-trace:
 	$(PYTHON) benchmarks/e2e/run.py --seconds 5 --trace 1
 
-# the chaos gate: the registered single-fault campaign (fault kinds x
-# orderings, survival matrix, exit 1 on any casualty) plus the seeded
-# property-based chaos suite
+# the chaos gate: the registered single-fault campaign's full tier
+# (fault kinds x orderings x sizes x kernels, survival matrix, exit 1 on
+# any casualty) plus the seeded property-based chaos suite
 faults:
-	$(PYTHON) -m repro.cli faults --quick
+	$(PYTHON) -m repro.cli faults
 	$(PYTHON) -m pytest -x -q tests/test_faults_property.py \
 		tests/test_faults_recovery.py

@@ -29,14 +29,15 @@ import numpy as np
 
 from ..core.result import SVDResult, SweepRecord, assemble_result
 from ..orderings.base import Ordering
-from ..orderings.plan import compile_schedule
+from ..orderings.plan import CompiledSchedule, compile_schedule
 from ..orderings.registry import make_ordering
 from ..svd.convergence import off_norm
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
 from .kernel import BLOCK_KERNELS, solve_block_step_batch
 
-__all__ = ["BlockJacobiOptions", "block_jacobi_svd", "block_jacobi_svd_batch"]
+__all__ = ["BlockJacobiOptions", "BlockSweep", "block_jacobi_svd",
+           "block_jacobi_svd_batch"]
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,81 @@ class BlockJacobiOptions:
         return RuntimeSanitizer() if sanitize_enabled(self.sanitize) else None
 
 
+class BlockSweep:
+    """The block sweep loop's storage, and its one step loop.
+
+    ``Xs`` and ``Vs`` (or ``None``) are the ``(B, m, n)`` and
+    ``(B, n, n)`` stacks of every item's factors, stored as contiguous
+    rows of ``(B, n, m)`` and ``(B, n, n)`` arrays, so the step body
+    gathers and scatters whole rows.  Columns never move:
+    ``block_cols[s]`` lists the matrix columns block slot ``s`` holds.
+    The block trajectory is data-independent, hence shared by all items.
+    """
+
+    def __init__(self, stack: np.ndarray, compute_uv: bool, block_size: int):
+        nitems, _, n = stack.shape
+        self.Xs = stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        self.Vs = (np.eye(n)[None].repeat(nitems, axis=0).transpose(0, 2, 1)
+                   if compute_uv else None)
+        self.block_cols = np.arange(n, dtype=np.intp).reshape(
+            n // block_size, block_size)
+
+    def arrays(self) -> tuple[np.ndarray | None, ...]:
+        """Every array the sweep state lives in, each updated in place
+        (a checkpoint copies them and writes them back)."""
+        return self.Xs, self.Vs, self.block_cols
+
+    def poison(self, cols: np.ndarray) -> None:
+        """Mark the storage columns ``cols`` of every item lost (NaN)."""
+        self.Xs[:, :, np.ravel(cols)] = np.nan
+
+    def sweep(
+        self,
+        plan: CompiledSchedule,
+        items: np.ndarray,
+        tol: float,
+        sort: str | None,
+        inner_sweeps: int,
+        kernel: str,
+        executor=None,
+        sanitizer=None,
+        hooks=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run one sweep of ``plan`` on the batch ``items``: each step
+        solves its met block pairs
+        (:func:`~repro.blockjacobi.kernel.solve_block_step_batch`), then
+        its move phase moves ``block_cols``.  Returns per-item rotation
+        counts and worst relative off-diagonals, aligned with ``items``.
+
+        ``hooks`` (optional) is told, before each step and after its
+        moves, which storage columns every slot holds:
+        ``hooks.before(k, cs, block_cols)`` and
+        ``hooks.after(k, cs, block_cols)`` for the 1-based step ``k``.
+        """
+        b = self.block_cols.shape[1]
+        worst = np.zeros(len(items))
+        applied = np.zeros(len(items), dtype=np.intp)
+        for k, cs in enumerate(plan.steps, start=1):
+            if hooks is not None:
+                hooks.before(k, cs, self.block_cols)
+            if cs.n_pairs:
+                pair_cols = self.block_cols[cs.pairs].reshape(cs.n_pairs,
+                                                              2 * b)
+                ap, wo = solve_block_step_batch(
+                    self.Xs, self.Vs, items, pair_cols, tol, sort,
+                    inner_sweeps, kernel, executor=executor,
+                    sanitizer=sanitizer)
+                np.maximum(worst, wo, out=worst)
+                applied += ap
+            if cs.has_moves:
+                # fancy assignment materialises the gather first, so the
+                # move phase keeps its snapshot semantics
+                self.block_cols[cs.dst] = self.block_cols[cs.src]
+            if hooks is not None:
+                hooks.after(k, cs, self.block_cols)
+        return applied, worst
+
+
 def block_jacobi_svd(
     a: np.ndarray,
     ordering: str | Ordering = "ring_new",
@@ -192,16 +268,8 @@ def block_jacobi_svd_batch(
         ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
 
     executor = opts.make_executor()
-    # each item's columns are contiguous rows of (B, n, m) storage, so
-    # the step body gathers and scatters whole rows; the solvers see the
-    # (B, m, n) views
-    Xs = stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-    Vs = (np.eye(n)[None].repeat(nitems, axis=0).transpose(0, 2, 1)
-          if compute_uv else None)
-    # the block trajectory is data-independent, hence shared by all items;
-    # block_cols[s] = the matrix columns currently stored in block slot s
-    block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
-
+    state = BlockSweep(stack, compute_uv, b)
+    Xs, Vs = state.Xs, state.Vs
     histories: list[list[SweepRecord]] = [[] for _ in range(nitems)]
     converged = np.zeros(nitems, dtype=bool)
     active = np.arange(nitems, dtype=np.intp)
@@ -213,22 +281,10 @@ def block_jacobi_svd_batch(
         for sweep in range(opts.max_sweeps):
             if active.size == 0:
                 break
-            plan = compile_schedule(ord_obj.sweep(sweep))
-            worst = np.zeros(active.size)
-            rotations = np.zeros(active.size, dtype=np.intp)
-            for cs in plan.steps:
-                if cs.n_pairs:
-                    pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                    ap, wo = solve_block_step_batch(
-                        Xs, Vs, active, pair_cols, opts.tol, opts.sort,
-                        opts.inner_sweeps, opts.kernel, executor=executor,
-                        sanitizer=sanitizer)
-                    np.maximum(worst, wo, out=worst)
-                    rotations += ap
-                if cs.has_moves:
-                    # fancy assignment materialises the gather first, so
-                    # the move phase keeps its snapshot semantics
-                    block_cols[cs.dst] = block_cols[cs.src]
+            rotations, worst = state.sweep(
+                compile_schedule(ord_obj.sweep(sweep)), active, opts.tol,
+                opts.sort, opts.inner_sweeps, opts.kernel, executor,
+                sanitizer)
             for i, w, r in zip(active.tolist(), worst.tolist(),
                                rotations.tolist()):
                 if sanitizer is not None:

@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
              "x sizes) and print the survival matrix",
     )
     faults.add_argument("--quick", action="store_true",
-                        help="n=8, scalar reference kernel only (CI tier)")
+                        help="n=8, scalar reference kernel only (the full "
+                             "tier is the CI gate)")
     faults.add_argument("--seed", type=int, default=1234,
                         help="matrix seed of the campaign runs")
     faults.add_argument("--json", action="store_true",

@@ -11,9 +11,12 @@ checks the survival contract end to end:
 * every injected fault shows up in the result's fault-event trail with
   its recovery action and a charged recovery cost.
 
-The quick tier (``repro-harness faults --quick``, wired into CI) runs
-the scalar reference kernel at n=8; the full tier adds n in {16, 32}
-and the BLAS-3 gram block kernel.
+The quick tier (``repro-harness faults --quick``) runs the scalar
+reference kernel at n=8; the full tier (wired into CI and ``make
+faults``) adds n in {16, 32}, the scalar batched kernel and the BLAS-3
+gram block kernel, so every sweep loop the event path runs — the
+scalar sweep with either kernel and the block step loop — meets every
+fault kind.
 """
 
 from __future__ import annotations
@@ -75,12 +78,13 @@ def campaign_cases(quick: bool = False) -> list[CampaignCase]:
     """The registered scenario grid.
 
     Quick: every fault kind x every ordering, scalar reference kernel
-    at n=8 (24 cases).  Full additionally sweeps n in {16, 32} and the
-    gram block kernel (block_size=1 at n=8 so the hybrid ordering keeps
-    its 8 schedule units, 2 above).
+    at n=8 (24 cases).  Full additionally sweeps n in {16, 32}, the
+    scalar batched kernel and the gram block kernel (block_size=1 at
+    n=8 so the hybrid ordering keeps its 8 schedule units, 2 above):
+    216 cases.
     """
     sizes = (8,) if quick else (8, 16, 32)
-    kernels = ("reference",) if quick else ("reference", "gram")
+    kernels = ("reference",) if quick else ("reference", "batched", "gram")
     cases = []
     for kernel in kernels:
         for n in sizes:

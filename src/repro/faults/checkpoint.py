@@ -1,11 +1,13 @@
 """Sweep-boundary checkpoints of the distributed machine state.
 
 Before each sweep the recovery driver snapshots everything a rollback
-must restore: the column data, the accumulated right vectors, the slot
-labels, the batched kernel's norm cache and (in block mode) the
-block-to-column indirection.  The degradation state (``host_of_leaf``,
-``dead_leaves``) is deliberately *not* part of the checkpoint — a leaf
-that died stays dead across a rollback; only the numerics rewind.
+must restore: the loaded driver's sweep state
+(:attr:`~repro.machine.simulator.TreeMachine.state`) — the column
+storage, the accumulated right vectors, and the slot labels and norm
+cache (scalar mode) or the block-to-column map (block mode).  The
+degradation state (``host_of_leaf``, ``dead_leaves``) is deliberately
+*not* part of the checkpoint — a leaf that died stays dead across a
+rollback; only the numerics rewind.
 
 In the cost model a checkpoint is a leaf-parallel memory copy
 (:meth:`~repro.machine.costmodel.CostModel.checkpoint_time`); a restore
@@ -28,47 +30,31 @@ __all__ = ["MachineCheckpoint", "restore_checkpoint", "take_checkpoint"]
 
 @dataclass
 class MachineCheckpoint:
-    """Deep copy of one machine's restorable state at a sweep boundary."""
+    """Deep copy of one machine's sweep state at a sweep boundary."""
 
-    X: np.ndarray
-    V: np.ndarray | None
-    labels: np.ndarray
-    norms_sq: np.ndarray | None
-    #: (n_slots, b) block-to-column indirection (block mode only)
-    block_cols: np.ndarray | None
-
-    @property
-    def words(self) -> int:
-        """Words copied (for pricing the checkpoint/rollback)."""
-        return self.X.size + (self.V.size if self.V is not None else 0)
+    #: copies of the state's arrays (``None`` where the state has none)
+    arrays: tuple[np.ndarray | None, ...]
+    #: words copied, for pricing the checkpoint/rollback: the matrix
+    #: plus its accumulated right vectors
+    words: int
 
 
 def take_checkpoint(machine: "TreeMachine") -> MachineCheckpoint:
     """Snapshot a loaded machine's numerics."""
+    V = machine.V
     return MachineCheckpoint(
-        X=machine.X.copy(),
-        V=machine.V.copy() if machine.V is not None else None,
-        labels=machine.labels.copy(),
-        norms_sq=(machine._norms_sq.copy()
-                  if machine._norms_sq is not None else None),
-        block_cols=(machine.block_cols.copy()
-                    if machine.block_cols is not None else None),
+        arrays=tuple(None if a is None else a.copy()
+                     for a in machine.state.arrays()),
+        words=machine.X.size + (V.size if V is not None else 0),
     )
 
 
 def restore_checkpoint(machine: "TreeMachine", cp: MachineCheckpoint) -> None:
     """Rewind the machine's numerics to ``cp`` (degradation state kept).
 
-    ``X``/``V`` are restored **in place**, so references to the
-    machine's buffers taken before the rollback stay current.
+    The state is restored **in place**, so references to the machine's
+    buffers (``machine.X``/``machine.V``) stay current.
     """
-    machine.X[...] = cp.X
-    if cp.V is not None:
-        machine.V[...] = cp.V
-    else:
-        machine.V = None
-    machine.labels = cp.labels.copy()
-    machine._norms_sq = (cp.norms_sq.copy()
-                         if cp.norms_sq is not None else None)
-    machine.block_cols = (cp.block_cols.copy()
-                          if cp.block_cols is not None else None)
+    for a, saved in zip(machine.state.arrays(), cp.arrays):
+        if a is not None:
+            a[...] = saved

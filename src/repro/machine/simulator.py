@@ -1,33 +1,38 @@
 """A simulated tree multiprocessor executing Jacobi schedules.
 
 ``TreeMachine`` holds the distributed matrix (two column slots per leaf,
-as in the paper), executes a schedule's rotation and communication
-phases with real numerics, and charges every phase to the cost model
-while the router measures channel loads on the chosen topology.
+as in the paper), runs a schedule's sweeps with real numerics, and
+charges every step to the cost model while the router measures channel
+loads on the chosen topology.
 
-The numerics are identical to the serial driver — same kernels, same
-label-oriented sorting — so the parallel path is bit-compatible with
-:func:`repro.svd.jacobi_svd` (asserted in the integration tests); what
-the machine adds is the *timeline*: per-step compute/communication
-times, message counts and contention factors.  On a healthy machine
-that timeline depends only on the plan and the topology, so
-:func:`sweep_ledger` computes it without running a sweep, and
-:func:`charge_step` is the one charging rule both use.
+The machine has no sweep loop of its own.  A loaded machine holds the
+serial driver's sweep state — :class:`~repro.svd.hestenes.ScalarSweep`
+in scalar mode, :class:`~repro.blockjacobi.driver.BlockSweep` on a
+batch of one with ``block_size=b`` — and :meth:`TreeMachine.run_sweep`
+runs that driver's own sweep, passing per-step hooks that are told
+which storage columns every slot holds.  So its numerics are the serial
+drivers' bit for bit, on every kernel; what the machine adds is the
+*timeline*: per-step compute/communication times, message counts and
+contention factors.  On a healthy machine that timeline depends only on
+the plan and the topology, so :func:`sweep_ledger` computes it without
+running a sweep, and :func:`charge_step` is the one charging rule both
+use.
 
-With ``block_size=b`` the machine runs at *block* granularity instead:
-each slot holds a ``b``-column block, a met pair solves a local
-``2b``-column subproblem through a :mod:`repro.blockjacobi.kernel`
-solver (bit-compatible with :func:`repro.blockjacobi.block_jacobi_svd`),
-every message carries ``b`` columns, and the step records charge the
-block work to the cost model.
+In block mode each slot holds a ``b``-column block, a met pair solves a
+local ``2b``-column subproblem through a :mod:`repro.blockjacobi.kernel`
+solver, every message carries ``b`` columns, and the step records
+charge the block work to the cost model.
 
 With a :class:`~repro.faults.injector.FaultInjector` installed (via
-:meth:`TreeMachine.install_faults`), every inter-leaf move additionally
-goes through the ack/seq :class:`~repro.faults.transport.AckTransport`,
-crash/stall faults fire at step boundaries, and a degraded host map
-(``host_of_leaf``) reroutes a dead leaf's traffic and compute onto its
-sibling.  With no injector, every code path is identical to the
-fault-free machine — bit-for-bit and charge-for-charge.
+:meth:`TreeMachine.install_faults`), crash/stall faults fire before a
+step (a crashed leaf poisons the storage columns its slots hold), every
+inter-leaf move of the step is then delivered through the ack/seq
+:class:`~repro.faults.transport.AckTransport` (a silently corrupted
+payload is damaged in the column its destination slot holds), and a
+degraded host map (``host_of_leaf``) reroutes a dead leaf's traffic and
+compute onto its sibling.  With no injector, every code path is
+identical to the fault-free machine — bit-for-bit and
+charge-for-charge.
 """
 
 from __future__ import annotations
@@ -38,12 +43,7 @@ import numpy as np
 
 from ..orderings.plan import CompiledSchedule, CompiledStep, compile_schedule
 from ..orderings.schedule import Schedule
-from ..svd.rotations import (
-    RotationStats,
-    apply_step_rotations,
-    apply_step_rotations_batched,
-    column_norms_sq,
-)
+from ..svd.rotations import RotationStats
 from ..util.bits import leaf_of_slot
 from ..util.validation import require
 from .costmodel import CostModel
@@ -52,6 +52,10 @@ from .stats import StepRecord, SweepStats
 from .topology import TreeTopology
 
 __all__ = ["TreeMachine", "charge_step", "sweep_ledger"]
+
+#: the item list of the machine's batch of one (block mode)
+_ONE_ITEM = np.zeros(1, dtype=np.intp)
+_ONE_ITEM.flags.writeable = False
 
 
 def charge_step(
@@ -126,18 +130,19 @@ class TreeMachine:
     def __init__(self, topology: TreeTopology, cost_model: CostModel | None = None):
         self.topology = topology
         self.cost = cost_model or CostModel()
+        #: the loaded sweep state: the scalar driver's
+        #: :class:`~repro.svd.hestenes.ScalarSweep`, or in block mode the
+        #: block driver's :class:`~repro.blockjacobi.driver.BlockSweep`
+        #: on a batch of one
+        self.state = None
+        #: the distributed matrix and its accumulated right vectors:
+        #: views of the state's storage (slot order between sweeps in
+        #: scalar mode; ``state.block_cols`` maps slots in block mode)
         self.X: np.ndarray | None = None
         self.V: np.ndarray | None = None
-        self.labels: np.ndarray | None = None
         self.kernel: str = "reference"
         self.block_size: int | None = None
         self.inner_sweeps: int = 2
-        #: (n_slots, b) block-to-column indirection in block mode
-        self.block_cols: np.ndarray | None = None
-        self._norms_sq: np.ndarray | None = None
-        # batched kernel's column-as-row working buffer, allocated once
-        # per load() and refilled (not reallocated) every sweep
-        self._WT: np.ndarray | None = None
         # step executor for the block-mode local solves (None = serial)
         self._executor = None
         # runtime sanitizer for the block-mode local solves (None = off)
@@ -203,29 +208,23 @@ class TreeMachine:
         self.inner_sweeps = inner_sweeps
         require(a.shape[1] == self.n_columns,
                 f"machine holds {self.n_columns} columns, matrix has {a.shape[1]}")
-        self.X = a.copy()
-        self.V = np.eye(a.shape[1]) if compute_v else None
-        self.labels = np.arange(self.n_slots, dtype=np.intp)
         self.kernel = kernel
         self._executor = executor
         self._sanitizer = sanitizer
         if executor is not None and sanitizer is not None:
             executor.sanitizer = sanitizer
-        self._WT = None
-        if block_size is not None:
-            self.block_cols = np.arange(
-                self.n_columns, dtype=np.intp).reshape(self.n_slots, block_size)
-            self._norms_sq = None
+        if block_size is None:
+            from ..svd.hestenes import ScalarSweep
+
+            self.state = ScalarSweep(
+                a.copy(), np.eye(a.shape[1]) if compute_v else None, kernel)
+            self.X, self.V = self.state.X, self.state.V
         else:
-            self.block_cols = None
-            # the batched kernel's cross-sweep squared-norm cache, kept in
-            # slot order (X/V stay the canonical storage between sweeps)
-            self._norms_sq = column_norms_sq(self.X) if kernel == "batched" else None
-            if kernel == "batched":
-                # per-sweep working buffer (stacked [X; V] column-as-row),
-                # allocated once here and refilled each sweep
-                m, n = a.shape
-                self._WT = np.empty((n, m + (n if compute_v else 0)))
+            from ..blockjacobi.driver import BlockSweep
+
+            self.state = BlockSweep(a[None], compute_v, block_size)
+            self.X = self.state.Xs[0]
+            self.V = None if self.state.Vs is None else self.state.Vs[0]
 
     # -- fault-mode hooks -------------------------------------------------
 
@@ -299,20 +298,21 @@ class TreeMachine:
             self.host_of_leaf[lf] = target
         return target, moved
 
-    def _fault_step_begin(self, sweep: int, k: int, mark) -> tuple[float, list]:
+    def _fault_step_begin(self, sweep: int, k: int,
+                          held: np.ndarray) -> tuple[float, list]:
         """Fire crash/stall faults scheduled at step ``k``.
 
-        Newly dead leaves have their resident slots NaN-marked through
-        ``mark(slots)`` (mode-specific storage), so even a crash no
-        message ever touches is caught by the non-finite sentinels.
-        Returns ``(stall_time, events)``.
+        A newly dead leaf poisons (NaN-marks) the storage columns its
+        two slots hold (``held[slot]``), so even a crash no message ever
+        touches is caught by the non-finite sentinels.  Returns
+        ``(stall_time, events)``.
         """
         from ..faults.events import FaultEvent
 
         inj = self.injector
         events: list = []
         for leaf in inj.advance(sweep, k):
-            mark([2 * leaf, 2 * leaf + 1])
+            self.state.poison(held[[2 * leaf, 2 * leaf + 1]])
             events.append(inj.record(FaultEvent(
                 "crash", "injected", sweep, k, leaf=leaf,
                 detail=f"leaf {leaf} crash-stopped; local columns lost")))
@@ -328,12 +328,25 @@ class TreeMachine:
                 detail=f"leaf {leaf} frozen for {duration:.0f}")))
         return stall_t, events
 
+    def _corrupt(self, held, mode: str) -> None:
+        """Damage a silently corrupted payload in the storage column its
+        destination slot holds (``held``); a block payload damages one
+        of its columns, drawn from the injector's RNG."""
+        from ..faults.corruptions import corrupt_payload
+
+        rng = self.injector.rng
+        if np.ndim(held):
+            # an integer index yields a writable view (a fancy-indexed
+            # block would be a copy and the damage would miss the matrix)
+            held = held[int(rng.integers(len(held)))]
+        corrupt_payload(self.X[:, int(held)], mode, rng)
+
     def _fault_deliver(self, sweep: int, k: int, moves, words: int,
-                       corrupt_slot):
+                       held: np.ndarray):
         """Deliver a move phase through the transport under the current
         host map.  Returns ``(phase, extra_time, retries, events)``;
-        silently corrupted payloads are damaged via
-        ``corrupt_slot(dst_slot, mode)`` after the move."""
+        silently corrupted payloads are damaged where their destination
+        slots' columns now sit (``held``, after the move)."""
         pairs = [(self._host(leaf_of_slot(mv.src)),
                   self._host(leaf_of_slot(mv.dst))) for mv in moves]
         phase = route_moves(self.topology,
@@ -350,21 +363,21 @@ class TreeMachine:
                 break
             for i, (ps, pd, mode) in enumerate(pending):
                 if (s, d) == (ps, pd):
-                    corrupt_slot(mv.dst, mode)
+                    self._corrupt(held[mv.dst], mode)
                     pending.pop(i)
                     break
         return phase, outcome.extra_time, outcome.retries, outcome.events
 
     def _charge(self, plan: CompiledSchedule, k: int, cs: CompiledStep,
                 m: int, words: int, sweep_index: int, stall: float,
-                events: list, corrupt_slot) -> StepRecord:
+                events: list, held: np.ndarray) -> StepRecord:
         """Step ``k``'s record, after its rotations and moves ran.
 
         A healthy machine charges the plan's memoised routing through
         :func:`charge_step`, exactly as :func:`sweep_ledger` does; with
         an injector the move phase is delivered through the transport
-        (``corrupt_slot`` damages silently corrupted payloads), and the
-        stall, retransmission time, retries and fault events are added.
+        (``held`` locates silently corrupted payloads), and the stall,
+        retransmission time, retries and fault events are added.
         """
         busiest = self._busiest_leaf(cs) if cs.n_pairs else 0
         if self.injector is None:
@@ -375,7 +388,7 @@ class TreeMachine:
         phase, extra, retries = None, 0.0, 0
         if cs.has_moves:
             phase, extra, retries, move_events = self._fault_deliver(
-                sweep_index, k, cs.moves, words, corrupt_slot)
+                sweep_index, k, cs.moves, words, held)
             events.extend(move_events)
         rec = charge_step(self.cost, k, cs, phase, m, words, self.block_size,
                           self.inner_sweeps, busiest)
@@ -398,148 +411,53 @@ class TreeMachine:
         locates the sweep for fault matching and event records; it is
         ignored (and harmless) without an injector.
 
-        Every step is one event: rotate the met pairs, move the columns,
-        charge the step — the per-event hooks fault injection and the
-        runtime sanitizer need.  With neither armed the records equal
+        The sweep is the loaded driver's own —
+        :meth:`~repro.svd.hestenes.ScalarSweep.sweep`, or
+        :meth:`~repro.blockjacobi.driver.BlockSweep.sweep` on a batch of
+        one — run with the machine's per-step hooks: crash and stall
+        faults before each step; after its moves, the transport and the
+        step's charge.  With no injector the records equal
         :func:`sweep_ledger`'s for the same plan.
         """
-        require(self.X is not None, "load() a matrix first")
+        require(self.state is not None, "load() a matrix first")
         require(schedule.n == self.n_slots, "schedule size != machine size")
         plan = compile_schedule(schedule)
         m, n = self.X.shape
         # a message carries one slot's columns of m words each (plus
         # their V rows when vectors are accumulated)
         words = (self.block_size or 1) * (m + (n if self.V is not None else 0))
-        if self.block_size is not None:
-            return self._run_sweep_block(plan, tol, sort, sweep_index, words)
-        X, V, labels = self.X, self.V, self.labels
-        batched = self.kernel == "batched"
-        if batched:
-            # column-as-row working buffer for this sweep; X/V remain the
-            # canonical storage so the telemetry/inspection surface is
-            # kernel-agnostic (conversion is one transpose either way);
-            # the buffer itself is hoisted onto the machine by load()
-            WT = self._WT
-            WT[:, :m] = X.T
-            if V is not None:
-                WT[:, m:] = V.T
-            norms_sq = self._norms_sq
-        mark = corrupt_slot = None
-        if self.injector is not None:
-            from ..faults.corruptions import corrupt_payload
-
-            if batched:
-                def mark(slots):
-                    WT[slots, :m] = np.nan
-                    if norms_sq is not None:
-                        norms_sq[slots] = np.nan
-
-                def corrupt_slot(slot, mode):
-                    corrupt_payload(WT[slot, :m], mode, self.injector.rng)
-            else:
-                def mark(slots):
-                    X[:, slots] = np.nan
-
-                def corrupt_slot(slot, mode):
-                    corrupt_payload(X[:, slot], mode, self.injector.rng)
-        stats = SweepStats()
-        rstats = RotationStats()
-        worst = 0.0
-        for k, cs in enumerate(plan.steps, start=1):
-            stall, events = 0.0, []
-            if self.injector is not None:
-                stall, events = self._fault_step_begin(sweep_index, k, mark)
-            if cs.n_pairs:
-                a, b = cs.a, cs.b
-                flip = labels[a] > labels[b]
-                if batched:
-                    ab = cs.pairs
-                    P = np.where(flip[:, None], ab[:, ::-1], ab)
-                    st, mx = apply_step_rotations_batched(
-                        WT, P, tol, sort, norms_sq, m
-                    )
-                else:
-                    left = np.where(flip, b, a)
-                    right = np.where(flip, a, b)
-                    st, mx = apply_step_rotations(X, V, left, right, tol, sort)
-                rstats.merge(st)
-                worst = max(worst, mx)
-            if cs.has_moves:
-                src, dst = cs.src, cs.dst
-                if batched:
-                    WT[dst] = WT[src]
-                    norms_sq[dst] = norms_sq[src]
-                else:
-                    X[:, dst] = X[:, src]
-                    if V is not None:
-                        V[:, dst] = V[:, src]
-                labels[dst] = labels[src]
-            stats.steps.append(self._charge(plan, k, cs, m, words,
-                                            sweep_index, stall, events,
-                                            corrupt_slot))
-        if batched:
-            X[:] = WT[:, :m].T
-            if V is not None:
-                V[:] = WT[:, m:].T
-        return stats, rstats, worst
-
-    def _run_sweep_block(
-        self,
-        plan: CompiledSchedule,
-        tol: float,
-        sort: str | None,
-        sweep_index: int,
-        words: int,
-    ) -> tuple[SweepStats, RotationStats, float]:
-        """Block-granularity sweep: met pairs solve 2b-column subproblems,
-        moves carry whole blocks, records charge block work."""
-        from ..blockjacobi.kernel import solve_block_step
-
-        X, V, labels = self.X, self.V, self.labels
-        block_cols = self.block_cols
-        b = self.block_size
-        m = X.shape[0]
-        mark = corrupt_slot = None
-        if self.injector is not None:
-            from ..faults.corruptions import corrupt_payload
-
-            def mark(slots):
-                for s in slots:
-                    X[:, block_cols[s]] = np.nan
-
-            def corrupt_slot(slot, mode):
-                # pick one column of the block: an integer index yields a
-                # writable view (a fancy-indexed block would be a copy and
-                # the damage would silently miss the matrix)
-                cols = block_cols[slot]
-                col = int(cols[int(self.injector.rng.integers(len(cols)))])
-                corrupt_payload(X[:, col], mode, self.injector.rng)
-        stats = SweepStats()
-        rstats = RotationStats()
-        worst = 0.0
-        for k, cs in enumerate(plan.steps, start=1):
-            stall, events = 0.0, []
-            if self.injector is not None:
-                stall, events = self._fault_step_begin(sweep_index, k, mark)
-            if cs.n_pairs:
-                # (n_pairs, 2b): row i = the met columns of block pair i
-                pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                st, mx = solve_block_step(X, V, pair_cols, tol, sort,
-                                          self.inner_sweeps, self.kernel,
-                                          executor=self._executor,
-                                          sanitizer=self._sanitizer)
-                rstats.merge(st)
-                worst = max(worst, mx)
-            if cs.has_moves:
-                # fancy assignment materialises the gather first, so the
-                # snapshot semantics of a move phase hold
-                block_cols[cs.dst] = block_cols[cs.src]
-                labels[cs.dst] = labels[cs.src]
-            stats.steps.append(self._charge(plan, k, cs, m, words,
-                                            sweep_index, stall, events,
-                                            corrupt_slot))
-        return stats, rstats, worst
+        hooks = _StepEvents(self, plan, sweep_index, m, words)
+        if self.block_size is None:
+            rstats, worst = self.state.sweep(plan, tol, sort, hooks)
+            return hooks.stats, rstats, worst
+        applied, wo = self.state.sweep(plan, _ONE_ITEM, tol, sort,
+                                       self.inner_sweeps, self.kernel,
+                                       self._executor, self._sanitizer, hooks)
+        return hooks.stats, RotationStats(applied=int(applied[0])), float(wo[0])
 
     def column_norms(self) -> np.ndarray:
         require(self.X is not None, "load() a matrix first")
         return np.linalg.norm(self.X, axis=0)
+
+
+class _StepEvents:
+    """The machine's per-step hooks on a driver's sweep, which tell it
+    the storage columns every slot holds (``held``): crash and stall
+    faults before a step, delivery and charging after its moves."""
+
+    def __init__(self, machine: TreeMachine, plan: CompiledSchedule,
+                 sweep: int, m: int, words: int):
+        self.machine, self.plan, self.sweep = machine, plan, sweep
+        self.m, self.words = m, words
+        self.stats = SweepStats()
+        self.stall, self.events = 0.0, []
+
+    def before(self, k: int, cs: CompiledStep, held: np.ndarray) -> None:
+        if self.machine.injector is not None:
+            self.stall, self.events = self.machine._fault_step_begin(
+                self.sweep, k, held)
+
+    def after(self, k: int, cs: CompiledStep, held: np.ndarray) -> None:
+        self.stats.steps.append(self.machine._charge(
+            self.plan, k, cs, self.m, self.words, self.sweep, self.stall,
+            self.events, held))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from threading import Lock
 
 import numpy as np
@@ -137,6 +138,25 @@ class CompiledSchedule:
         if len(self.trajectory):
             return self.trajectory[-1]
         return np.arange(self.n, dtype=np.intp)
+
+    @cached_property
+    def content_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep's pairs in *content* ids (the slot a column held at
+        sweep start): every step's ``(k, 2)`` pairs stacked into one
+        array, and the ``n_steps + 1`` step bounds into it.
+
+        Every move phase permutes its slots (:class:`~repro.orderings.schedule.Step`
+        requires it), so the columns a step meets are those the sweep
+        started in slots ``layout[pairs]``, ``layout`` being the
+        trajectory row before the step (the identity before the first)."""
+        before = np.vstack((np.arange(self.n, dtype=np.intp)[None],
+                            self.trajectory[:-1]))
+        pairs = np.concatenate([_EMPTY.reshape(0, 2)] + [
+            before[i][cs.pairs] for i, cs in enumerate(self.steps)])
+        bounds = np.cumsum([0] + [cs.n_pairs for cs in self.steps])
+        for arr in (pairs, bounds):
+            arr.setflags(write=False)
+        return pairs, bounds
 
     def route_phase(self, topology, step_index: int):
         """Healthy-mode :class:`~repro.machine.routing.MessagePhase` of a

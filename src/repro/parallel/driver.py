@@ -12,9 +12,11 @@ sanitizer — *is* the serial driver on the run's ordering, and its
 timeline is the plan's cost ledger
 (:func:`~repro.machine.simulator.sweep_ledger`), because a healthy
 sweep's charges depend only on the ordering and the topology.  Fault
-injection and the runtime sanitizer need per-event hooks, so they run
-the machine's event path (:meth:`~repro.machine.TreeMachine.run_sweep`),
-which is bit-compared against the serial drivers.
+injection and the runtime sanitizer need per-step hooks, so they run
+the machine's event path (:meth:`~repro.machine.TreeMachine.run_sweep`):
+the serial drivers' own sweeps, driven sweep by sweep from here with
+checkpoints and rollback, so an event-path run without faults returns
+the healthy run's bits.
 
 Passing a :class:`~repro.blockjacobi.BlockJacobiOptions` (or
 ``block_size`` through :func:`repro.parallel_svd`) switches the driver
@@ -346,7 +348,7 @@ class ParallelJacobiSVD:
         # the sweep only right-multiplies X by orthogonal rotations, so
         # ||X||_F is an invariant; measurable drift means a finite payload
         # corruption (scale/zero) slipped past the finiteness sentinels
-        ref_norm = float(np.linalg.norm(cp.X))
+        ref_norm = float(np.linalg.norm(machine.X))
         last_error: Exception | None = None
         for attempt in range(injector.max_sweep_attempts):
             try:

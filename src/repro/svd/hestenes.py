@@ -12,10 +12,12 @@ This driver executes the *slot-level schedules* of
 :mod:`repro.orderings`: every step rotates the columns its slot pairs
 hold, and every sweep leaves the columns where the schedule's moves put
 them, so the sorted-output and order-restoration behaviour of each
-ordering is observable on real numerics.  A healthy
+ordering is observable on real numerics.  One sweep body
+(:meth:`ScalarSweep.sweep`) serves both rotation kernels: columns stay
+where the sweep found them and are permuted once per sweep.  A healthy
 :class:`~repro.parallel.ParallelJacobiSVD` run is this driver plus the
-plan's cost ledger; the simulated tree machine's event path, which
-moves the columns at every move phase, is bit-compared against it.
+plan's cost ledger; the simulated tree machine's event path runs the
+same sweep body with per-step hooks for fault injection and charging.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import numpy as np
 
 from ..core.result import SVDResult, SweepRecord, assemble_result
 from ..orderings.base import Ordering
+from ..orderings.plan import CompiledSchedule, compile_schedule
 from ..orderings.registry import make_ordering
-from ..util.errors import ConvergenceWarning
+from ..util.errors import ConvergenceWarning, NumericalBreakdown
 from ..util.validation import require
 from .convergence import off_norm
 from .rotations import (
@@ -40,7 +43,8 @@ from .rotations import (
 )
 from .thresholds import ThresholdStrategy
 
-__all__ = ["KERNELS", "JacobiOptions", "jacobi_svd", "hestenes_sweeps"]
+__all__ = ["KERNELS", "JacobiOptions", "ScalarSweep", "jacobi_svd",
+           "hestenes_sweeps"]
 
 #: registered rotation kernels: ``reference`` is the per-quantity masked
 #: implementation the numerics are specified by; ``batched`` is the fused
@@ -99,23 +103,121 @@ def _resolve_ordering(ordering: str | Ordering, n: int, **kwargs: object) -> Ord
     return make_ordering(ordering, n, **kwargs)
 
 
-def _schedule_arrays(
-    sched: object,
-) -> list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    """Per-step index arrays ``(pairs (k,2), move src, move dst)`` of a
-    schedule, drawn from its compiled plan
-    (:func:`repro.orderings.plan.compile_schedule`) so the lowering is
-    shared with the machine simulator and paid once per structure, not
-    once per driver."""
-    from ..orderings.plan import compile_schedule
+class ScalarSweep:
+    """The scalar sweep loop's storage, and its one sweep body.
 
-    plan = compile_schedule(sched)
-    return [
-        (cs.pairs if cs.n_pairs else None,
-         cs.src if cs.has_moves else None,
-         cs.dst if cs.has_moves else None)
-        for cs in plan.steps
-    ]
+    ``X`` (m x n) and ``V`` (or ``None``) hold the columns in slot order
+    at every sweep boundary.  The ``reference`` kernel rotates the
+    arrays it was given in place.  ``batched`` works on ``W``, the
+    stacked factor ``[X; V]`` in column-as-row layout (``X`` and ``V``
+    are views of it), so data and vector columns advance in one fused
+    update per step, and reads ``alpha``/``beta`` from the cross-sweep
+    squared-norm cache ``norms_sq`` — only ``gamma`` costs a fresh dot
+    product per pair.
+
+    ``labels`` are the logical column indices per slot (the paper
+    numbers columns 1..n): they follow the schedule's moves but NOT the
+    norm-ordering exchanges — the exchanges are what places the
+    larger-norm column at the slot "associated with the index of a
+    smaller number" (Section 4).
+    """
+
+    def __init__(self, X: np.ndarray, V: np.ndarray | None, kernel: str):
+        m, n = X.shape
+        self.labels = np.arange(n, dtype=np.intp)
+        self.W = self.norms_sq = None
+        if kernel == "batched":
+            stack = np.vstack((X, V)) if V is not None else X
+            self.W = np.ascontiguousarray(stack.T)  # row j = stacked column j
+            X = self.W[:, :m].T
+            V = self.W[:, m:].T if V is not None else None
+            self.norms_sq = column_norms_sq(X)
+        self.X, self.V = X, V
+
+    def arrays(self) -> tuple[np.ndarray | None, ...]:
+        """Every array the sweep state lives in, each updated in place
+        (a checkpoint copies them and writes them back)."""
+        if self.W is not None:
+            return self.W, self.norms_sq, self.labels
+        return self.X, self.V, self.labels
+
+    def poison(self, cols: np.ndarray) -> None:
+        """Mark the storage columns ``cols`` lost: NaN data and norms."""
+        self.X[:, cols] = np.nan
+        if self.norms_sq is not None:
+            self.norms_sq[cols] = np.nan
+
+    def sweep(
+        self,
+        plan: CompiledSchedule,
+        tol: float,
+        sort: str | None,
+        hooks=None,
+    ) -> tuple[RotationStats, float]:
+        """Run one sweep of ``plan`` at rotation threshold ``tol``; returns
+        the merged rotation counters and the worst relative
+        off-diagonal seen before rotating.
+
+        Columns stay where the sweep found them: each step rotates the
+        storage columns its slot pairs hold
+        (:attr:`~repro.orderings.plan.CompiledSchedule.content_pairs`),
+        oriented by the labels as they stood at sweep start so the
+        sorting exchanges are consistent along schedule trajectories,
+        and the sweep permutation is applied to the storage and the
+        labels once at the end — the same values in the same pair order
+        as moving the columns at every move phase, without the copies.
+
+        ``hooks`` (optional) is told, before each step and after its
+        moves, which storage column every slot holds:
+        ``hooks.before(k, cs, held)`` and ``hooks.after(k, cs, held)``
+        for the 1-based step ``k`` with compiled step ``cs``.
+        """
+        pairs, bounds = plan.content_pairs
+        la = self.labels[pairs]
+        P = np.where((la[:, 0] > la[:, 1])[:, None], pairs[:, ::-1], pairs)
+        stats = RotationStats()
+        worst = 0.0
+        held = np.arange(plan.n, dtype=np.intp)
+        for k, cs in enumerate(plan.steps):
+            if hooks is not None:
+                hooks.before(k + 1, cs, held)
+            if cs.n_pairs:
+                p = P[bounds[k]:bounds[k + 1]]
+                try:
+                    if self.W is None:
+                        st, mx = apply_step_rotations(
+                            self.X, self.V, p[:, 0], p[:, 1], tol, sort)
+                    else:
+                        st, mx = apply_step_rotations_batched(
+                            self.W, p, tol, sort, self.norms_sq,
+                            self.X.shape[0])
+                except NumericalBreakdown as exc:
+                    raise _named_by_slot(exc, held) from None
+                stats.merge(st)
+                worst = max(worst, mx)
+            held = plan.trajectory[k]
+            if hooks is not None:
+                hooks.after(k + 1, cs, held)
+        final = plan.final_layout()
+        if self.W is None:
+            self.X[:] = self.X[:, final]
+            if self.V is not None:
+                self.V[:] = self.V[:, final]
+        else:
+            self.W[:] = self.W[final]
+            self.norms_sq[:] = self.norms_sq[final]
+        self.labels[:] = self.labels[final]
+        return stats, worst
+
+
+def _named_by_slot(exc: NumericalBreakdown,
+                   held: np.ndarray) -> NumericalBreakdown:
+    """``exc`` naming its column pair by the slots that hold it: the
+    kernels see storage columns, a fault log reads slots."""
+    slot_of = np.argsort(held)
+    where = tuple(int(slot_of[c]) for c in exc.where)
+    return NumericalBreakdown(
+        str(exc).replace(f"pair {exc.where}", f"pair {where}", 1), where=where)
 
 
 def hestenes_sweeps(
@@ -128,218 +230,39 @@ def hestenes_sweeps(
 
     ``X`` (m x n) is transformed into ``H = A V``; ``V`` accumulates the
     rotations when given.  After every sweep both hold their columns
-    where the schedule's moves put them, as on the machine.
-
-    With ``options.kernel == "batched"`` the loop works on the stacked
-    array ``W = [X; V]`` so data and vector columns advance in one fused
-    update per step, and the Gram quantities ``alpha``/``beta`` come from
-    a cross-sweep squared-norm cache maintained via the rotation
-    invariants (permuted alongside the schedule's column moves) — only
-    ``gamma`` costs a fresh dot product per pair.
+    where the schedule's moves put them, as on the machine.  Every sweep
+    is :meth:`ScalarSweep.sweep`, with either kernel.
     """
-    if options.kernel == "batched":
-        return _sweeps_batched(X, V, ordering, options)
-    return _sweeps_reference(X, V, ordering, options)
-
-
-def _content_pairs(
-    sched: object,
-) -> tuple[list[np.ndarray | None], np.ndarray]:
-    """A sweep in *content* ids (the slot a column held at sweep start):
-    per step the ``(k, 2)`` pairs (``None`` for a step without pairs),
-    and the sweep permutation.
-
-    Every move phase permutes its slots (:class:`~repro.orderings.schedule.Step`
-    requires it), so the columns met at step ``i`` are those the sweep
-    started in slots ``layout[pairs]``, ``layout`` being the compiled
-    plan's trajectory row before the step."""
-    from ..orderings.plan import compile_schedule
-
-    plan = compile_schedule(sched)
-    pairs: list[np.ndarray | None] = []
-    for i, cs in enumerate(plan.steps):
-        if not cs.n_pairs:
-            pairs.append(None)
-        elif i == 0:
-            pairs.append(cs.pairs)
-        else:
-            pairs.append(plan.trajectory[i - 1][cs.pairs])
-    return pairs, plan.final_layout()
-
-
-def _sweeps_reference(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    ordering: Ordering,
-    options: JacobiOptions,
-) -> tuple[list[SweepRecord], bool, int]:
-    """Reference-kernel sweep loop.
-
-    Columns stay where the sweep found them: each step rotates the
-    columns its pairs hold (:func:`_content_pairs`), and the sweep
-    permutation is applied to ``X``, ``V`` and the labels once at the
-    end — the same values in the same pair order as moving the columns
-    at every move phase, without the copies.
-    """
-    n = X.shape[1]
+    state = ScalarSweep(X, V, options.kernel)
     history: list[SweepRecord] = []
     converged = False
     sweeps_done = 0
-    # logical index labels per slot (the paper numbers columns 1..n);
-    # labels follow the schedule's moves but NOT the norm-ordering
-    # exchanges — the exchanges are what places the larger-norm column at
-    # the slot "associated with the index of a smaller number" (Section 4)
-    labels = np.arange(n, dtype=np.intp)
-    # schedules are cached per ordering, so content pairs can be
-    # memoised by schedule identity across sweeps
-    pairs_cache: dict[int, tuple] = {}
     for sweep in range(options.max_sweeps):
-        sched = ordering.sweep(sweep)
-        entry = pairs_cache.get(id(sched))
-        if entry is None:
-            entry = pairs_cache[id(sched)] = _content_pairs(sched)
-        steps, final = entry
-        stats = RotationStats()
-        worst = 0.0
         rot_tol = options.tol
         if options.threshold_strategy is not None:
             rot_tol = max(options.threshold_strategy.threshold(sweep), options.tol)
-        for pc in steps:
-            if pc is None:
-                continue
-            # orient each pair by the labels its columns carry (fixed for
-            # the sweep) so the sorting exchanges are consistent along
-            # schedule trajectories
-            la = labels[pc]
-            flip = la[:, 0] > la[:, 1]
-            left = np.where(flip, pc[:, 1], pc[:, 0])
-            right = np.where(flip, pc[:, 0], pc[:, 1])
-            st, mx = apply_step_rotations(X, V, left, right, rot_tol, options.sort)
-            stats.merge(st)
-            worst = max(worst, mx)
-        X[:] = X[:, final]
+        stats, worst = state.sweep(compile_schedule(ordering.sweep(sweep)),
+                                   rot_tol, options.sort)
+        sweeps_done = sweep + 1
+        history.append(
+            SweepRecord(
+                sweep=sweeps_done,
+                off_norm=off_norm(state.X),
+                max_rel_gamma=worst,
+                rotations=stats.applied,
+                skipped=stats.skipped,
+            )
+        )
+        # the paper's rule: stop after a complete sweep in which all
+        # columns were orthogonal AND no columns were interchanged
+        if worst <= options.tol and stats.exchanged == 0:
+            converged = True
+            break
+    if state.W is not None:
+        # copy the batched kernel's stacked factors back to the caller
+        X[:] = state.X
         if V is not None:
-            V[:] = V[:, final]
-        labels = labels[final]
-        sweeps_done = sweep + 1
-        history.append(
-            SweepRecord(
-                sweep=sweeps_done,
-                off_norm=off_norm(X),
-                max_rel_gamma=worst,
-                rotations=stats.applied,
-                skipped=stats.skipped,
-            )
-        )
-        # the paper's rule: stop after a complete sweep in which all
-        # columns were orthogonal AND no columns were interchanged
-        if worst <= options.tol and stats.exchanged == 0:
-            converged = True
-            break
-    return history, converged, sweeps_done
-
-
-def _sweeps_batched(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    ordering: Ordering,
-    options: JacobiOptions,
-) -> tuple[list[SweepRecord], bool, int]:
-    """Batched-kernel sweep loop.
-
-    Works on ``WT``, the stacked factor ``[X; V]`` in column-as-row
-    layout, with three structural optimisations over the reference loop:
-
-    * schedule column moves advance a slot-to-row indirection instead of
-      copying data (moves in every shipped ordering are slot
-      permutations; a non-permutation move step falls back to a physical
-      row copy so custom schedules keep reference semantics);
-    * per-step oriented pair/row index arrays are cached keyed on the
-      (schedule, labels, indirection) state at sweep start — the
-      trajectory repeats with the ordering's restoration period, so the
-      label-orientation and indirection lookups are paid once, not every
-      sweep;
-    * Gram quantities ``alpha``/``beta`` come from the cross-sweep
-      squared-norm cache maintained by the kernel (keyed by physical
-      row, so indirection moves never touch it).
-    """
-    m, n = X.shape
-    history: list[SweepRecord] = []
-    converged = False
-    sweeps_done = 0
-    stack = np.vstack((X, V)) if V is not None else X
-    WT = np.ascontiguousarray(stack.T)  # row j = stacked column j
-    Xdata = WT[:, :m].T  # data part view; off_norm is permutation-invariant
-    norms_sq = column_norms_sq(Xdata)  # keyed by physical row
-    labels = np.arange(n, dtype=np.intp)
-    rowof = np.arange(n, dtype=np.intp)  # slot -> physical row of WT
-    sched_cache: dict[int, list] = {}
-    plan_cache: dict = {}
-    for sweep in range(options.max_sweeps):
-        sched = ordering.sweep(sweep)
-        key = (id(sched), labels.tobytes(), rowof.tobytes())
-        entry = plan_cache.get(key)
-        if entry is None:
-            steps = sched_cache.get(id(sched))
-            if steps is None:
-                steps = sched_cache[id(sched)] = _schedule_arrays(sched)
-            plan: list = []
-            for ab, src, dst in steps:
-                P = csrc = cdst = None
-                if ab is not None:
-                    # orient each pair by its tracked labels so the
-                    # sorting exchanges are consistent along schedule
-                    # trajectories, then resolve slots to physical rows
-                    la = labels[ab]
-                    flip = la[:, 0] > la[:, 1]
-                    P = rowof[np.where(flip[:, None], ab[:, ::-1], ab)]
-                if src is not None:
-                    labels[dst] = labels[src]
-                    if np.array_equal(np.sort(src), np.sort(dst)):
-                        rowof[dst] = rowof[src]
-                    else:  # pragma: no cover - no shipped ordering hits this
-                        csrc = rowof[src]
-                        cdst = rowof[dst]
-                if P is not None or csrc is not None:
-                    plan.append((P, csrc, cdst))
-            entry = plan_cache[key] = (plan, labels.copy(), rowof.copy())
-        stats = RotationStats()
-        worst = 0.0
-        rot_tol = options.tol
-        if options.threshold_strategy is not None:
-            rot_tol = max(options.threshold_strategy.threshold(sweep), options.tol)
-        for P, csrc, cdst in entry[0]:
-            if P is not None:
-                st, mx = apply_step_rotations_batched(
-                    WT, P, rot_tol, options.sort, norms_sq, m
-                )
-                stats.merge(st)
-                worst = max(worst, mx)
-            if csrc is not None:  # pragma: no cover - non-permutation moves
-                WT[cdst] = WT[csrc]
-                norms_sq[cdst] = norms_sq[csrc]
-        labels = entry[1].copy()
-        rowof = entry[2].copy()
-        sweeps_done = sweep + 1
-        history.append(
-            SweepRecord(
-                sweep=sweeps_done,
-                off_norm=off_norm(Xdata),
-                max_rel_gamma=worst,
-                rotations=stats.applied,
-                skipped=stats.skipped,
-            )
-        )
-        # the paper's rule: stop after a complete sweep in which all
-        # columns were orthogonal AND no columns were interchanged
-        if worst <= options.tol and stats.exchanged == 0:
-            converged = True
-            break
-    # undo the indirection and copy the factors back to the caller
-    slot_rows = WT[rowof]
-    X[:] = slot_rows[:, :m].T
-    if V is not None:
-        V[:] = slot_rows[:, m:].T
+            V[:] = state.V
     return history, converged, sweeps_done
 
 

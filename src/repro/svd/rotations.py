@@ -46,6 +46,12 @@ SORT_SLACK = 32.0 * np.finfo(np.float64).eps
 
 _SORT_MODES = ("desc", "asc", None)
 
+#: smallest normal float64: the underflow line of the threshold test's
+#: norm product, and the batched kernel's division guard (a zero cached
+#: norm implies an exactly-zero column, whose fresh ``gamma`` is exactly
+#: zero, so the guarded quotient is still exactly zero)
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def _validate_sort(sort: str | None) -> None:
     # an unrecognised string used to silently behave like ``None`` and
@@ -109,6 +115,22 @@ def _require_finite_grams(
         )
 
 
+def _norm_product(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``sqrt(alpha * beta)``, the threshold test's norm product.
+
+    Once two squared norms multiply below float64 ``tiny`` the product
+    underflows and a live pair would read as dead.  Those entries, and
+    only those (so every other bit stays), take ``sqrt(alpha) *
+    sqrt(beta)``: the product of the norms, which stays normal until
+    the norms themselves multiply below ``tiny``."""
+    prod = alpha * beta
+    denom = np.sqrt(prod)
+    if prod.min() < _TINY:
+        low = prod < _TINY
+        denom[low] = np.sqrt(alpha[low]) * np.sqrt(beta[low])
+    return denom
+
+
 def rotation_params(
     alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +183,7 @@ def apply_step_rotations(
     beta = np.einsum("ij,ij->j", y, y)
     gamma = np.einsum("ij,ij->j", x, y)
     _require_finite_grams(alpha, beta, gamma, left, right)
-    denom = np.sqrt(alpha * beta)
+    denom = _norm_product(alpha, beta)
     live = denom > 0.0
     rel = np.zeros_like(gamma)
     rel[live] = np.abs(gamma[live]) / denom[live]
@@ -229,10 +251,6 @@ def apply_step_rotations(
     return stats, max_rel
 
 
-#: division guard used instead of a masked divide: a zero cached norm
-#: implies an exactly-zero column, whose fresh ``gamma`` is exactly zero,
-#: so the guarded quotient is still exactly zero
-_TINY = float(np.finfo(np.float64).tiny)
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
@@ -290,7 +308,7 @@ def apply_step_rotations_batched(
     alpha = ab[:, 0]
     beta = ab[:, 1]
     _require_finite_grams(alpha, beta, gamma, P[:, 0], P[:, 1])
-    denom = np.sqrt(alpha * beta)
+    denom = _norm_product(alpha, beta)
     rel = np.abs(gamma) / np.maximum(denom, _TINY)
     max_rel = float(rel.max(initial=0.0))
     rotate = rel > tol

@@ -24,9 +24,9 @@ class TestCampaignRegistry:
 
     def test_full_grid_adds_sizes_and_gram(self):
         cases = campaign_cases(quick=False)
-        assert len(cases) == len(FAULT_KINDS) * len(ORDERINGS) * 3 * 2
+        assert len(cases) == len(FAULT_KINDS) * len(ORDERINGS) * 3 * 3
         assert {c.n for c in cases} == {8, 16, 32}
-        assert {c.kernel for c in cases} == {"reference", "gram"}
+        assert {c.kernel for c in cases} == {"reference", "batched", "gram"}
         # hybrid needs >= 8 schedule units: gram at n=8 must use b=1
         for c in cases:
             if c.kernel == "gram":

@@ -165,10 +165,21 @@ class TestSvdEntryPoint:
         assert _relerr(r, clean) <= 1e-8
         assert r.fault_events
 
-    def test_fault_free_plan_is_bit_identical(self, matrix, baseline):
+    def test_fault_free_plan_is_bit_identical(self, matrix):
         # an installed injector with an empty plan must not perturb the
         # simulation results (the recovery scaffolding only prices real
-        # faults)
-        r, rep = _faulted(matrix, FaultPlan())
-        assert np.array_equal(r.sigma, baseline[0].sigma)
-        assert r.fault_events == []
+        # faults): the event path runs the healthy run's own sweeps, so
+        # every kernel returns the healthy bits
+        for kwargs in ({"kernel": "reference"}, {"kernel": "batched"},
+                       {"kernel": "gram", "block_size": 2},
+                       {"kernel": "reference", "block_size": 2}):
+            healthy, _ = parallel_svd(matrix, topology="perfect",
+                                      ordering="fat_tree", **kwargs)
+            r, _ = _faulted(matrix, FaultPlan(), **kwargs)
+            for field in ("sigma", "u", "v", "sigma_by_slot"):
+                np.testing.assert_array_equal(
+                    getattr(r, field), getattr(healthy, field),
+                    err_msg=f"{field} with {kwargs}")
+            assert r.sweeps == healthy.sweeps, kwargs
+            assert r.history == healthy.history, kwargs
+            assert r.fault_events == [], kwargs

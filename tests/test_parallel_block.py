@@ -18,6 +18,7 @@ from repro.machine.topology import make_topology
 from repro.orderings import make_ordering
 from repro.parallel.distribution import next_admissible_width, pad_columns
 from repro.parallel.driver import ParallelJacobiSVD
+from repro.svd.hestenes import ScalarSweep
 
 
 def _matrix(m: int, n: int, seed: int = 7) -> np.ndarray:
@@ -81,8 +82,8 @@ class TestTreeMachineBlockMode:
         machine = self._machine(n=32, b=4)
         assert machine.n_slots == 8       # 8 block slots on 4 leaves
         assert machine.n_columns == 32
-        assert len(machine.block_cols) == 8
-        assert np.array_equal(machine.block_cols[2], np.arange(8, 12))
+        assert len(machine.state.block_cols) == 8
+        assert np.array_equal(machine.state.block_cols[2], np.arange(8, 12))
 
     def test_step_records_are_block_granular(self):
         machine = self._machine(n=32, b=4)
@@ -141,7 +142,7 @@ class TestTreeMachineBlockMode:
         machine = TreeMachine(topo)
         machine.load(_matrix(16, 8), kernel="reference")
         assert machine.block_size is None
-        assert machine.block_cols is None
+        assert isinstance(machine.state, ScalarSweep)
         assert machine.n_columns == 8
 
 

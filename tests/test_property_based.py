@@ -227,7 +227,8 @@ class TestNormCacheInvariants:
         for sweep in range(5):
             machine.run_sweep(ordering.sweep(sweep), tol=1e-12, sort=sort)
             fresh = column_norms_sq(machine.X)
-            assert np.allclose(machine._norms_sq, fresh, rtol=self.CACHE_RTOL)
+            assert np.allclose(machine.state.norms_sq, fresh,
+                               rtol=self.CACHE_RTOL)
 
 
 class TestSVDBackwardStability:

@@ -94,6 +94,21 @@ def test_scaled_batch_is_bitwise_the_looped_svd(kernel, scale):
         np.testing.assert_array_equal(br[i].v, solo.v)
 
 
+@pytest.mark.parametrize("span", [-100, -150])
+@pytest.mark.parametrize("kw", [{}, {"kernel": "batched"},
+                                {"block_size": 4, "kernel": "reference"}],
+                         ids=["reference", "batched", "block-reference"])
+def test_graded_pairs_below_the_underflow_line_still_rotate(kw, span):
+    # the small columns' squared norms multiply below float64 tiny: the
+    # threshold test must not read those pairs as dead (converged with
+    # sigma 72-175% off) nor as maximally non-orthogonal (never converged)
+    a = _matrix(40, 32, 7) * np.logspace(0, span, 32)
+    ref = np.linalg.svd(a, compute_uv=False)
+    r = svd(a, **kw)
+    assert r.converged
+    assert np.max(np.abs(r.sigma - ref) / ref) <= 1e-13
+
+
 class TestRangeScale:
     def test_in_range_input_is_not_copied(self):
         a = _matrix(8, 4, 3) * 2.0 ** 40
