@@ -6,7 +6,9 @@ width if needed, run the one-sided Jacobi iteration, strip the padding.
 ``parallel_svd`` does the same on a simulated tree machine and returns
 the execution telemetry alongside the decomposition.  Both accept
 ``block_size=b`` to run at block granularity (``b`` columns per
-schedule unit, BLAS-3 gram kernel by default).
+schedule unit, BLAS-3 gram kernel by default); block ``svd`` and
+``svd_batch`` first reduce each matrix to an n×n triangular factor
+with two QRs (:func:`_precondition`).
 """
 
 from __future__ import annotations
@@ -156,28 +158,70 @@ def _block_options(
     return base
 
 
+def _precondition(
+    stack: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Drmač–Veselić QR preconditioner of a ``(B, m, n)`` stack.
+
+    Sort each item's rows by decreasing ∞-norm (``Π A``) and its columns
+    by decreasing 2-norm (``P``), factor ``Π A P = Q R`` and
+    ``Rᵀ = Q₁ R₁``.  Returns ``(Πᵀ Q, P Q₁, X)`` with ``X = R₁ᵀ``
+    (``B`` n×n factors), so ``A = (Πᵀ Q) X (P Q₁)ᵀ``: block Jacobi runs
+    on ``X`` and the left and right factors map its vectors back.
+
+    Both sorts are one stable gather; the QRs and permutations are
+    stacked, so every item gets the bits it gets alone.
+    """
+    item = np.arange(stack.shape[0])[:, None]
+    rows = np.argsort(-np.abs(stack).max(axis=2), axis=1, kind="stable")
+    cols = np.argsort(-np.linalg.norm(stack, axis=1), axis=1, kind="stable")
+    q, r = np.linalg.qr(stack[item[:, :, None], rows[:, :, None],
+                              cols[:, None, :]])
+    q1, r1 = np.linalg.qr(r.transpose(0, 2, 1))
+    left = np.empty_like(q)
+    left[item, rows] = q
+    right = np.empty_like(q1)
+    right[item, cols] = q1
+    return left, right, r1.transpose(0, 2, 1)
+
+
 def _block_svds(
     stack: np.ndarray,
     ordering: "str | Ordering",
     options: BlockJacobiOptions,
     ordering_kwargs: Mapping[str, object],
 ) -> list[SVDResult]:
-    """Block mode over a ``(B, m, n)`` stack: scale each item into range,
-    zero-pad to the admissible width, run the batch driver once, strip
-    the padding and unscale — the one block path of :func:`svd` (a
-    batch of one) and :func:`svd_batch`."""
-    nitems, m, n = stack.shape
+    """Block mode over a ``(B, m, n)`` stack — the one block path of
+    :func:`svd` (a batch of one) and :func:`svd_batch`.
+
+    Each item is scaled into range, preconditioned by two QRs
+    (:func:`_precondition`), and the batch driver runs once on the n×n
+    factors ``X``, zero-padded to the admissible width.  The padding is
+    stripped, ``U = Πᵀ Q U_X`` and ``V = P Q₁ V_X`` map the vectors
+    back, and ``sigma`` is unscaled.  ``history``, ``sweeps``,
+    ``rotations``, ``sigma_by_slot`` and ``emerged_sorted`` describe the
+    run on ``X``; ``sigma``, ``u``, ``v``, ``rank`` and ``converged``
+    describe ``A``.  Scalar mode, ``svd(fault_plan=...)``,
+    :func:`parallel_svd` and the raw ``block_jacobi_svd*`` drivers do
+    not come through here and iterate on ``A`` itself.
+    """
     stack, shifts = range_scale(stack)
+    left, right, x = _precondition(stack)
+    nitems, _, n = x.shape
     width = next_admissible_width(n, _needs_power_of_two(ordering),
                                   options.block_size)
     if width != n:
-        padded = np.zeros((nitems, m, width))
-        padded[:, :, :n] = stack
-        stack = padded
-    results = block_jacobi_svd_batch(stack, ordering=ordering,
+        padded = np.zeros((nitems, n, width))
+        padded[:, :, :n] = x
+        x = padded
+    results = block_jacobi_svd_batch(x, ordering=ordering,
                                      options=options, **ordering_kwargs)
     if width != n:
         results = [strip_padding(r, n) for r in results]
+    u = left @ np.stack([r.u for r in results])
+    v = right @ np.stack([r.v for r in results])
+    for i, r in enumerate(results):
+        r.u, r.v = u[i], v[i]
     return [range_unscale(r, int(k)) for r, k in zip(results, shifts)]
 
 
@@ -209,9 +253,15 @@ def svd(
     ``block_size=b`` switches to the block Jacobi driver: the ordering
     runs on ``b``-column blocks and the local subproblems are solved by
     a block kernel (``"gram"``, the BLAS-3 default, or its oracle
-    ``"reference"``).  Admissibility and padding are then decided at
-    block granularity.  Block mode runs the path of :func:`svd_batch`
-    on a batch of one matrix, so it gives that batch's bits.
+    ``"reference"``).  Block mode first preconditions ``a`` with two
+    QRs (rows and columns sorted by norm, ``A P = Q R``, ``Rᵀ = Q₁ R₁``)
+    and runs the driver on the n×n factor ``X = R₁ᵀ``, so admissibility
+    and padding are decided for ``X`` at block granularity, and
+    ``history``, ``sweeps``, ``rotations``, ``sigma_by_slot`` and
+    ``emerged_sorted`` describe the run on ``X``.  Block mode runs the
+    path of :func:`svd_batch` on a batch of one matrix, so it gives that
+    batch's bits.  Scalar mode, ``fault_plan=`` runs, :func:`parallel_svd`
+    and the raw drivers (``block_jacobi_svd*``) are not preconditioned.
 
     ``executor``/``workers`` pick the step-execution backend of block
     mode (``"serial"`` or ``"threads"``; workers split each step's
@@ -372,8 +422,14 @@ def svd_batch(
     in block mode the schedule is compiled once and every step's local
     solves fuse the whole batch into stacked GEMMs, with per-item
     convergence masks dropping finished matrices out of later sweeps
-    (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
-    Block :func:`svd` runs this same path on a batch of one.
+    (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).  Block
+    mode preconditions every item as :func:`svd` does, with stacked QRs
+    and products, and runs the driver on the n×n factors: each item's
+    ``history``, ``sweeps``, ``rotations``, ``sigma_by_slot`` and
+    ``emerged_sorted`` (and so the sweeps histogram) describe its
+    factor, its ``sigma``, ``u``, ``v``, ``rank`` and ``converged`` the
+    item.  The raw driver itself is not preconditioned.  Block
+    :func:`svd` runs this same path on a batch of one.
     ``executor="threads"`` chunks the fused (item, block pair) rows of
     each step's gather/Gram-form and apply/scatter phases across
     workers, while the bits stay those of a serial loop.  Scalar mode

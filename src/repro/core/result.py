@@ -124,6 +124,15 @@ class SVDResult:
     condition is never silent.  Under a fault plan, ``fault_events``
     carries the full injection/recovery audit trail and ``watchdog`` any
     convergence-stall diagnosis.
+
+    Block :func:`~repro.svd` and :func:`~repro.svd_batch` run the Jacobi
+    iteration on the n×n factor ``X`` of a two-QR preconditioner, not
+    on ``a``: there ``history``, ``sweeps``, ``rotations``,
+    ``sigma_by_slot`` and ``emerged_sorted`` describe the run on ``X``,
+    while ``u``, ``sigma``, ``v``, ``rank`` and ``converged`` describe
+    ``a``.  Scalar mode, :func:`~repro.parallel_svd`, ``fault_plan=``
+    runs and the raw ``block_jacobi_svd*`` drivers iterate on ``a``
+    itself.
     """
 
     u: np.ndarray
